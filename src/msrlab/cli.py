@@ -270,7 +270,7 @@ def cmd_repair_check(args: argparse.Namespace) -> int:
         print(
             f"node {report.node}: regeneration "
             f"{'ok' if report.regeneration_ok else 'FAIL'}, interference "
-            f"{'ok' if all(report.interference_ok) else 'FAIL'}"
+            f"{'ok' if all(good for _, good in report.interference_ok) else 'FAIL'}"
         )
     if all(report.ok for report in reports):
         print("SCHEME PASS")

@@ -21,6 +21,10 @@ class ShapeMismatch(MsrLabError):
     """Matrix dimensions do not fit the requested operation."""
 
 
+class BadEntry(MsrLabError):
+    """A matrix entry loaded from a file is not an integer."""
+
+
 class Singular(MsrLabError):
     """Matrix is not invertible, or a linear system is inconsistent."""
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import MixedFields, ShapeMismatch, Singular
+from .errors import BadEntry, MixedFields, ShapeMismatch, Singular
 from .field import FieldElement, FieldSpec
 
 
@@ -50,22 +50,28 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, spec: FieldSpec, arr: np.ndarray) -> Matrix:
+        """Matrix over a reduced copy of arr, which may be unreduced or shared."""
+        return cls._adopt(spec, np.array(arr, dtype=np.int64) % spec.p)
+
+    @classmethod
+    def _adopt(cls, spec: FieldSpec, arr: np.ndarray) -> Matrix:
+        """Matrix over arr itself, which must be a fresh int64 array already
+        reduced mod p; it is frozen, not copied."""
+        arr.setflags(write=False)
         m = object.__new__(cls)
-        a = np.array(arr, dtype=np.int64) % spec.p
-        a.setflags(write=False)
         m.spec = spec
-        m._a = a
+        m._a = arr
         return m
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> Matrix:
         if rows < 0 or cols < 0:
             raise ShapeMismatch("negative dimensions")
-        return cls._wrap(spec, np.zeros((rows, cols), dtype=np.int64))
+        return cls._adopt(spec, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> Matrix:
-        return cls._wrap(spec, np.eye(n, dtype=np.int64))
+        return cls._adopt(spec, np.eye(n, dtype=np.int64))
 
     @classmethod
     def row_vector(cls, spec: FieldSpec, values: Iterable) -> Matrix:
@@ -86,7 +92,7 @@ class Matrix:
                 raise MixedFields("vstack across field specs")
             if part.cols != cols:
                 raise ShapeMismatch(f"vstack widths differ: {part.cols} vs {cols}")
-        return cls._wrap(spec, np.vstack([part._a for part in parts]))
+        return cls._adopt(spec, np.vstack([part._a for part in parts]))
 
     @classmethod
     def hstack(cls, parts: Sequence[Matrix]) -> Matrix:
@@ -99,7 +105,7 @@ class Matrix:
                 raise MixedFields("hstack across field specs")
             if part.rows != rows:
                 raise ShapeMismatch(f"hstack heights differ: {part.rows} vs {rows}")
-        return cls._wrap(spec, np.hstack([part._a for part in parts]))
+        return cls._adopt(spec, np.hstack([part._a for part in parts]))
 
     @property
     def rows(self) -> int:
@@ -122,6 +128,10 @@ class Matrix:
 
     def column(self, j: int) -> Matrix:
         return Matrix._wrap(self.spec, self._a[:, j : j + 1])
+
+    def columns(self, indices: Sequence[int]) -> Matrix:
+        """The columns at the given indices, in that order."""
+        return Matrix._adopt(self.spec, self._a[:, list(indices)])
 
     def to_lists(self) -> list[list[int]]:
         return self._a.tolist()
@@ -190,7 +200,7 @@ class Matrix:
             for start in range(0, inner, step):
                 stop = start + step
                 prod = (prod + self._a[:, start:stop] @ other._a[start:stop] % p) % p
-        return Matrix._wrap(self.spec, prod)
+        return Matrix._adopt(self.spec, prod)
 
     def transpose(self) -> Matrix:
         return Matrix._wrap(self.spec, self._a.T)
@@ -230,7 +240,7 @@ class Matrix:
                 a %= p
             pivots.append(col)
             rank += 1
-        return Matrix._wrap(self.spec, a), rank, tuple(pivots)
+        return Matrix._adopt(self.spec, a), rank, tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -247,7 +257,7 @@ class Matrix:
             basis[row_idx, f] = 1
             for i, c in enumerate(pivots):
                 basis[row_idx, c] = (-int(reduced._a[i, f])) % p
-        return Matrix._wrap(self.spec, basis)
+        return Matrix._adopt(self.spec, basis)
 
     def invert(self) -> Matrix:
         if self.rows != self.cols:
@@ -294,11 +304,24 @@ class Matrix:
             raise MixedFields(f"payload is over {got!r}, expected {spec!r}")
         rows, cols = int(payload["rows"]), int(payload["cols"])
         data = payload["data"]
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ShapeMismatch("payload shape disagrees with its data")
-        if rows == 0:
+        if rows == 0 and data == []:
             return cls.zeros(got, 0, cols)
-        return cls(got, data)
+        matrix = cls.from_json_rows(got, data)
+        if matrix.shape != (rows, cols):
+            raise ShapeMismatch("payload shape disagrees with its data")
+        return matrix
+
+    @classmethod
+    def from_json_rows(cls, spec: FieldSpec, data) -> Matrix:
+        """Matrix from a loaded list of rows. Data that is not a list of
+        lists of integers raises BadEntry, not the TypeError of Matrix(...)."""
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise BadEntry("matrix data must be a list of rows")
+        for row in data:
+            for value in row:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise BadEntry(f"matrix entries must be integers, got {value!r}")
+        return cls(spec, data)
 
     def __repr__(self) -> str:
         return f"Matrix({self.spec!r}, {self.rows}x{self.cols})"

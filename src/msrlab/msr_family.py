@@ -10,20 +10,19 @@ from the right. Two properties make the family useful:
   * alignment: phi[i'][j](H_i) = H_i whenever i' != i.
 
 verify() recomputes both properties, and the invertibility of every map,
-from scratch; nothing is trusted from construction time. Every verified
+from scratch; nothing is trusted from construction time. A family is
+immutable, so its report is computed once and kept. Every verified
 family obeys the size bound k <= 4 r ln(ell), which bound_check() decides
 with exact rational brackets rather than floats.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
-
-import numpy as np
 
 from .errors import BadLambda, BadParams, FieldTooSmall, StructuralError
 from .field import FieldElement, FieldSpec
@@ -118,7 +117,7 @@ class BoundReport:
 class MsrSubspaceFamily:
     """k subspaces of F^ell (dim ell/r each) with an (r-1)-slot map grid."""
 
-    __slots__ = ("ell", "r", "spec", "subspaces", "maps")
+    __slots__ = ("ell", "r", "spec", "subspaces", "maps", "_report")
 
     def __init__(self, ell, r, spec, subspaces, maps):
         subspaces = tuple(subspaces)
@@ -149,6 +148,7 @@ class MsrSubspaceFamily:
         self.spec = spec
         self.subspaces = subspaces
         self.maps = maps
+        self._report = None
 
     @property
     def k(self) -> int:
@@ -165,7 +165,12 @@ class MsrSubspaceFamily:
         return self.maps[i][j - 1]
 
     def verify(self) -> VerificationReport:
-        """Recompute invertibility, regeneration, and alignment from scratch."""
+        """Recompute invertibility, regeneration, and alignment from scratch
+        on the first call; later calls return the same report. phi(H_i) == H_i
+        holds when H_i @ phi lies in H_i and phi is invertible or, failing
+        that, the coordinates of H_i @ phi in H_i have full rank."""
+        if self._report is not None:
+            return self._report
         invertible = {}
         for i, row in enumerate(self.maps):
             for j, phi in enumerate(row, start=1):
@@ -180,15 +185,19 @@ class MsrSubspaceFamily:
                 if other == i:
                     continue
                 for j, phi in enumerate(self.maps[other], start=1):
-                    alignment[(i, other, j)] = sub.apply_map(phi) == sub
-        return VerificationReport(
+                    coords = sub.coordinates(sub.basis @ phi)
+                    alignment[(i, other, j)] = coords is not None and (
+                        invertible[(other, j)] or coords.rank() == sub.dim
+                    )
+        self._report = VerificationReport(
             ell=self.ell,
             r=self.r,
             k=self.k,
-            invertible=invertible,
-            direct_sum=direct_sum,
-            alignment=alignment,
+            invertible=MappingProxyType(invertible),
+            direct_sum=MappingProxyType(direct_sum),
+            alignment=MappingProxyType(alignment),
         )
+        return self._report
 
     def bound_check(self) -> BoundReport:
         within = compare_to_log_multiple(self.k, Fraction(4 * self.r), self.ell) < 0
@@ -329,51 +338,38 @@ def construct_tensor_family(
     if lam in (0, 1):
         raise BadLambda(f"scaling must avoid {{0, 1}}, got {lam} in {spec!r}")
 
-    p = spec.p
     ell = r**m
-    vectors = [np.eye(r, dtype=np.int64)[i] for i in range(r)]
-    vectors.append(np.full(r, p - 1, dtype=np.int64))  # -(e_0+...+e_{r-1})
+    vectors = Matrix.identity(spec, r).to_lists() + [[-1] * r]  # e_0..e_{r-1}, v_r
 
-    def tensor_row(indices: tuple[int, ...]) -> np.ndarray:
-        out = np.ones(1, dtype=np.int64)
-        for idx in indices:
-            out = np.kron(out, vectors[idx]) % p
-        return out
+    def at_slot(slot: int, block: Matrix) -> Matrix:
+        # I^(x)slot (x) block (x) I^(x)(m-1-slot), acting on one tensor factor
+        before = Matrix.identity(spec, r**slot)
+        after = Matrix.identity(spec, r ** (m - 1 - slot))
+        return before.kron(block).kron(after)
+
+    # Per excluded index i, the tensors of the other r vectors form the basis
+    # B = V_i^(x)m of F^ell. Scaling by lam the basis tensors whose slot entry
+    # is s is the map B^-1 D B, D diagonal; by the mixed-product property it
+    # is V_i^-1 D_s V_i at that slot (D_s the r x r diagonal part) and the
+    # identity at every other slot.
+    factors = []
+    for i in range(r + 1):
+        allowed = [idx for idx in range(r + 1) if idx != i]
+        inverse = Matrix(spec, [vectors[idx] for idx in allowed]).invert()
+        member_factors = []
+        for t in range(1, r):
+            scaled = (i + t) % (r + 1)
+            rows = [[lam * v for v in vectors[idx]] if idx == scaled else vectors[idx]
+                    for idx in allowed]
+            member_factors.append(inverse @ Matrix(spec, rows))
+        factors.append(member_factors)
 
     subspaces = []
     maps = []
-    # Per excluded index i: the r**m tensors avoiding i form a basis of F^ell.
-    basis_tuples = {}
-    basis_matrix = {}
-    basis_inverse = {}
-    for i in range(r + 1):
-        allowed = [idx for idx in range(r + 1) if idx != i]
-        tuples = list(itertools.product(allowed, repeat=m))
-        rows = np.vstack([tensor_row(t) for t in tuples])
-        mat = Matrix._wrap(spec, rows)
-        basis_tuples[i] = tuples
-        basis_matrix[i] = mat
-        basis_inverse[i] = mat.invert()
-
-    free_tuples = list(itertools.product(range(r), repeat=m - 1))
     for slot in range(m):
         for i in range(r + 1):
-            rows = []
-            for free in free_tuples:
-                indices = free[:slot] + (i,) + free[slot:]
-                rows.append(tensor_row(indices))
-            subspaces.append(Subspace.span_of(Matrix._wrap(spec, np.vstack(rows))))
-            member_maps = []
-            for t in range(1, r):
-                scaled_index = (i + t) % (r + 1)
-                eigen = np.array(
-                    [lam if tup[slot] == scaled_index else 1 for tup in basis_tuples[i]],
-                    dtype=np.int64,
-                )
-                scaled_rows = Matrix._wrap(
-                    spec, basis_matrix[i]._a * eigen[:, None] % p
-                )
-                member_maps.append(basis_inverse[i] @ scaled_rows)
-            maps.append(member_maps)
+            pinned = at_slot(slot, Matrix.row_vector(spec, vectors[i]))
+            subspaces.append(Subspace.span_of(pinned))
+            maps.append([at_slot(slot, factor) for factor in factors[i]])
 
     return MsrSubspaceFamily(ell, r, spec, subspaces, maps)

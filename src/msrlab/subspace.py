@@ -2,9 +2,10 @@
 
 Every subspace keeps its basis in reduced row echelon form with zero rows
 dropped, so two subspaces are equal exactly when their basis matrices are
-identical. Intersections go through annihilators: the annihilator of a sum
-is the intersection of annihilators, and dualizing twice comes back to the
-start.
+identical, and membership needs no elimination: a row x lies in the span
+exactly when x equals (x read at the pivot columns) @ basis. Intersections
+go through annihilators: the annihilator of a sum is the intersection of
+annihilators, and dualizing twice comes back to the start.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .matrix import Matrix
 class Subspace:
     """A subspace of F^ambient_dim with a canonical RREF basis."""
 
-    __slots__ = ("spec", "ambient_dim", "basis")
+    __slots__ = ("spec", "ambient_dim", "basis", "_pivots")
 
     def __init__(self, spec: FieldSpec, ambient_dim: int, generators: Matrix):
         if generators.spec != spec:
@@ -28,10 +29,11 @@ class Subspace:
             raise AmbientMismatch(
                 f"generators have width {generators.cols}, ambient is {ambient_dim}"
             )
-        reduced, rank, _ = generators.rref()
+        reduced, rank, pivots = generators.rref()
         self.spec = spec
         self.ambient_dim = ambient_dim
         self.basis = Matrix._wrap(spec, reduced._a[:rank])
+        self._pivots = pivots
 
     @classmethod
     def span_of(cls, generators: Matrix) -> Subspace:
@@ -91,6 +93,15 @@ class Subspace:
             raise ShapeMismatch(f"map shape {phi.shape}, ambient {self.ambient_dim}")
         return Subspace.span_of(self.basis @ phi)
 
+    def coordinates(self, rows: Matrix) -> Matrix | None:
+        """The C with C @ basis == rows when every row of `rows` lies in this
+        subspace, else None. C is `rows` read at the basis's pivot columns,
+        so one product decides membership without an elimination."""
+        if rows.cols != self.ambient_dim:
+            raise AmbientMismatch(f"rows have width {rows.cols}, ambient is {self.ambient_dim}")
+        coords = rows.columns(self._pivots)
+        return coords if coords @ self.basis == rows else None
+
     def contains_vector(self, vector) -> bool:
         if isinstance(vector, Matrix):
             row = vector
@@ -100,13 +111,11 @@ class Subspace:
             row = Matrix.row_vector(self.spec, vector)
             if row.cols != self.ambient_dim:
                 raise AmbientMismatch(f"vector length {row.cols} != {self.ambient_dim}")
-        stacked = Matrix.vstack([self.basis, row])
-        return stacked.rank() == self.dim
+        return self.coordinates(row) is not None
 
     def contains(self, other: Subspace) -> bool:
         self._check_compatible(other)
-        stacked = Matrix.vstack([self.basis, other.basis])
-        return stacked.rank() == self.dim
+        return self.coordinates(other.basis) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -136,7 +145,7 @@ class Subspace:
         rows = payload["basis"]
         if not rows:
             return cls.zero(got, ambient)
-        return cls(got, ambient, Matrix(got, rows))
+        return cls(got, ambient, Matrix.from_json_rows(got, rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim} over {self.spec!r})"

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from msrlab.cli import main
 from msrlab.msr_family import MsrSubspaceFamily
-from msrlab.repair import evenodd_constant_instance
+from msrlab.repair import ConstantRepairScheme, evenodd_constant_instance, random_constant_instance
 
 
 def run(capsys, *argv):
@@ -59,6 +60,28 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     bad.write_text("{nope")
     code, _, err = run(capsys, "verify", "--in", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "bound", "decay"])
+@pytest.mark.parametrize("entry", [1.5, "1", True])
+def test_malformed_map_entry_is_input_error(family_file, command, entry, capsys):
+    payload = json.loads(family_file.read_text())
+    payload["maps"][0][0]["data"][0][0] = entry
+    family_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command, "--in", str(family_file))
+    assert code == 2
+    assert err.startswith("error:") and "integers" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("basis", [[[1.0, 0, 0, 0]], [[1, 0, 0, "x"]], [1, 0, 0, 0]])
+def test_malformed_subspace_basis_is_input_error(family_file, basis, capsys):
+    payload = json.loads(family_file.read_text())
+    payload["subspaces"][0]["basis"] = basis
+    family_file.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "verify", "--in", str(family_file))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_ceiling_exceeded(tmp_path, capsys):
@@ -196,6 +219,25 @@ def test_repair_check_and_extract(instance_files, tmp_path, capsys):
     family = MsrSubspaceFamily.from_json_dict(json.loads(out_path.read_text()))
     assert family.k == 1
     assert family.verify().ok
+
+
+def test_repair_check_prints_failing_interference(tmp_path, capsys):
+    code, scheme = random_constant_instance(5, 3, 4, random.Random(5))
+    # node 1 borrows node 0's repair matrix: its regeneration fails, and so
+    # does its interference check against node 0
+    broken = ConstantRepairScheme((scheme.matrices[0], scheme.matrices[0], scheme.matrices[2]))
+    code_path = tmp_path / "code.json"
+    scheme_path = tmp_path / "scheme.json"
+    code_path.write_text(json.dumps(code.to_json_dict()))
+    scheme_path.write_text(json.dumps(broken.to_json_dict()))
+    status, out, _ = run(capsys, "repair-check", "--code", str(code_path), "--scheme", str(scheme_path))
+    assert status == 1
+    lines = out.splitlines()
+    assert lines[0] == "node 0: regeneration ok, interference ok"
+    assert lines[1] == "node 1: regeneration FAIL, interference FAIL"
+    assert lines[2] == "node 2: regeneration ok, interference ok"
+    report = json.loads(out[out.index("{") :])
+    assert report["reports"][1]["interference_ok"] == [[0, False], [2, True]]
 
 
 def test_selftest_deterministic(capsys):

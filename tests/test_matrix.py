@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrlab.errors import MixedFields, ShapeMismatch, Singular
+from msrlab.errors import BadEntry, MixedFields, ShapeMismatch, Singular
 from msrlab.field import FieldSpec
 from msrlab.matrix import Matrix
 
@@ -286,3 +287,24 @@ def test_json_round_trip():
         Matrix.from_json_dict(payload, GF3)
     with pytest.raises(ShapeMismatch):
         Matrix.from_json_dict({"rows": 1, "cols": 2, "p": 5, "data": [[1]]})
+
+
+def test_results_are_frozen_and_unshared():
+    a = Matrix(GF5, [[1, 2], [3, 4]])
+    results = [a @ a, a.rref()[0], a.kernel(), Matrix.vstack([a, a]), Matrix.identity(GF5, 2),
+               a.columns([1, 0]), a + a, a.row(0)]
+    for result in results:
+        assert not result._a.flags.writeable
+        assert not np.shares_memory(result._a, a._a)
+    assert a.columns([1, 0]) == Matrix(GF5, [[2, 1], [4, 3]])
+
+
+def test_from_json_rows_rejects_non_integers():
+    assert Matrix.from_json_rows(GF5, [[1, 7]]) == Matrix(GF5, [[1, 2]])
+    for data in ([[1.0, 2]], [["1", 2]], [[True, 2]], [[None, 2]], [1, 2], "12"):
+        with pytest.raises(BadEntry):
+            Matrix.from_json_rows(GF5, data)
+        with pytest.raises(BadEntry):
+            Matrix.from_json_dict({"rows": 1, "cols": 2, "p": 5, "data": data})
+    with pytest.raises(TypeError):  # library callers keep the TypeError
+        Matrix(GF5, [[1.0, 2]])

@@ -131,7 +131,7 @@ def test_check_msr_scheme_evenodd():
         report = check_msr_scheme(code, scheme, node)
         assert report.ok
         assert report.regeneration_ok
-        assert all(report.interference_ok)
+        assert all(good for _, good in report.interference_ok)
     with pytest.raises(IndexOutOfRange):
         check_msr_scheme(code, scheme, 2)
 
