@@ -7,9 +7,10 @@ this module computes it exactly.
 
 Encoding: vectorize psi row-major into ell**2 unknowns. For a basis row a
 of A and an annihilator row n of B, the condition (a psi) . n = 0 is one
-linear equation whose coefficient vector is exactly the Kronecker product
-a (x) n, so each constraint contributes dim(A) * (ell - dim(B)) equations
-and the constrained maps are the kernel of the stacked system.
+linear equation whose coefficient vector is the Kronecker product a (x) n.
+The stacked system of all constraints is never built: by the vec identity
+(a (x) n) . vec(psi) = a psi n^T, the constraints are applied one at a time
+to a basis of the maps that satisfy the earlier ones, which only shrinks.
 """
 
 from __future__ import annotations
@@ -64,17 +65,38 @@ def _as_constraint(obj) -> MapConstraint:
     raise TypeError(f"expected MapConstraint or Subspace, got {type(obj).__name__}")
 
 
-def constraint_equations(constraint: MapConstraint) -> Matrix:
-    """Equation rows on the vectorized map imposed by one constraint."""
+def _restrict(maps: Matrix, constraint: MapConstraint) -> Matrix:
+    """The maps in the row span of `maps` that also satisfy `constraint`.
+
+    The rows of `maps` are independent vectorized maps psi_s. A combination
+    sum_s c_s psi_s satisfies (A, B) exactly when sum_s c_s A psi_s N^T = 0,
+    with N the annihilator basis of B. So the c form the left kernel C of the
+    d x (dim A * codim B) matrix whose row s is A psi_s N^T, and the result is
+    C @ maps, whose rows are again independent because C's and maps' are.
+    """
     source = constraint.source.basis
     annihilator = constraint.target.annihilator().basis
-    ell = constraint.source.ambient_dim
-    if source.rows == 0 or annihilator.rows == 0:
-        return Matrix.zeros(constraint.source.spec, 0, ell * ell)
-    return source.kron(annihilator)
+    d, spec = maps.rows, maps.spec
+    if d == 0 or source.rows == 0 or annihilator.rows == 0:
+        return maps
+    ell, a, c = source.cols, source.rows, annihilator.rows
+    if d == ell * ell:
+        # maps spans every map, so restrict the unit maps instead: their
+        # equation columns are the Kronecker rows a (x) n themselves
+        return source.kron(annihilator).kernel()
+    # psi_s N^T for every s: the rows of all maps stacked, one product
+    right = Matrix._adopt(spec, maps._a.reshape(d * ell, ell)) @ annihilator.transpose()
+    # A psi_s N^T for every s: the same rows regrouped as columns (s, n)
+    stacked = right._a.reshape(d, ell, c).transpose(1, 0, 2).reshape(ell, d * c)
+    images = source @ Matrix._adopt(spec, stacked)
+    # one equation row per (a, n) pair, one column per map psi_s
+    equations = images._a.reshape(a, d, c).transpose(0, 2, 1).reshape(a * c, d)
+    return Matrix._adopt(spec, equations).kernel() @ maps
 
 
-def _resolve(constraints, spec, ambient):
+def _invariant_basis(constraints, spec, ambient) -> Matrix:
+    """Independent vectorized maps spanning those that satisfy every
+    constraint, restricted from all maps one constraint at a time."""
     resolved = [_as_constraint(c) for c in constraints]
     if resolved:
         first = resolved[0]
@@ -82,12 +104,14 @@ def _resolve(constraints, spec, ambient):
         ambient = first.source.ambient_dim if ambient is None else ambient
     if spec is None or ambient is None:
         raise BadParams("empty constraint list needs explicit spec and ambient")
+    maps = Matrix.identity(spec, ambient * ambient)
     for c in resolved:
         if c.source.spec != spec:
             raise MixedFields("constraints over different fields")
         if c.source.ambient_dim != ambient:
             raise AmbientMismatch("constraints in different ambient spaces")
-    return resolved, spec, ambient
+        maps = _restrict(maps, c)
+    return maps
 
 
 def invariant_space(
@@ -95,21 +119,13 @@ def invariant_space(
 ) -> Subspace:
     """The subspace of F^(ell**2) of vectorized maps satisfying every
     constraint. Bare subspaces in the list mean "maps into itself"."""
-    resolved, spec, ambient = _resolve(constraints, spec, ambient)
-    if not resolved:
-        return Subspace.full(spec, ambient * ambient)
-    system = Matrix.vstack([constraint_equations(c) for c in resolved])
-    return Subspace.span_of(system.kernel())
+    return Subspace.span_of(_invariant_basis(constraints, spec, ambient))
 
 
 def invariant_dim(
     constraints: Iterable, *, spec: FieldSpec | None = None, ambient: int | None = None
 ) -> int:
-    resolved, spec, ambient = _resolve(constraints, spec, ambient)
-    if not resolved:
-        return ambient * ambient
-    system = Matrix.vstack([constraint_equations(c) for c in resolved])
-    return ambient * ambient - system.rank()
+    return _invariant_basis(constraints, spec, ambient).rows
 
 
 @dataclass(frozen=True)
@@ -173,10 +189,10 @@ def decay_trace(
             raise BadParams(f"order must be a permutation of range({k})")
     ell, r = family.ell, family.r
     dims = [ell * ell]
-    constraints: list[MapConstraint] = []
+    maps = Matrix.identity(family.spec, ell * ell)
     for t, member in enumerate(order, start=1):
-        constraints.append(MapConstraint.fixing(family.subspaces[member]))
-        dim = invariant_dim(constraints, spec=family.spec, ambient=ell)
+        maps = _restrict(maps, MapConstraint.fixing(family.subspaces[member]))
+        dim = maps.rows
         # exact integer form of dims[t] <= dims[t-1] * (2r-1)/(2r)
         if 2 * r * dim > (2 * r - 1) * dims[-1]:
             raise LemmaViolation(
@@ -221,14 +237,11 @@ def composition_isomorphism_check(family: "MsrSubspaceFamily", t: int, j: int) -
     if family.r < 2:
         raise IndexOutOfRange("check needs r >= 2 (slot 1 must exist)")
     member = t - 1
-    prefix = [MapConstraint.fixing(s) for s in family.subspaces[:member]]
+    prefix = _invariant_basis(family.subspaces[:member], family.spec, family.ell)
     h_t = family.subspaces[member]
     image_j = h_t.apply_map(family.map_matrix(member, j))
     image_1 = h_t.apply_map(family.map_matrix(member, 1))
-    spec, ell = family.spec, family.ell
-    base = invariant_dim(prefix + [MapConstraint.fixing(h_t)], spec=spec, ambient=ell)
-    via_fix = invariant_dim(prefix + [MapConstraint(image_j, h_t)], spec=spec, ambient=ell)
-    via_translate = invariant_dim(
-        prefix + [MapConstraint(image_j, image_1)], spec=spec, ambient=ell
-    )
+    base = _restrict(prefix, MapConstraint.fixing(h_t)).rows
+    via_fix = _restrict(prefix, MapConstraint(image_j, h_t)).rows
+    via_translate = _restrict(prefix, MapConstraint(image_j, image_1)).rows
     return base == via_fix == via_translate

@@ -31,6 +31,18 @@ def _coerce_entry(value, spec: FieldSpec) -> int:
     raise TypeError(f"matrix entries must be ints or field elements, got {type(value).__name__}")
 
 
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def loaded(value, kind: type, what: str):
+    """A value read from a JSON file, which must be of `kind` (int, list or
+    dict; a bool is no int). Anything else raises BadEntry, which the
+    command line reports as an input error, not a TypeError traceback."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise BadEntry(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 class Matrix:
     """Immutable rows x cols matrix over a fixed FieldSpec."""
 
@@ -250,13 +262,10 @@ class Matrix:
         per row. Row count is cols - rank."""
         p = self.spec.p
         reduced, rank, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = np.zeros((len(free), self.cols), dtype=np.int64)
-        for row_idx, f in enumerate(free):
-            basis[row_idx, f] = 1
-            for i, c in enumerate(pivots):
-                basis[row_idx, c] = (-int(reduced._a[i, f])) % p
+        free = np.setdiff1d(np.arange(self.cols), pivots)
+        basis = np.zeros((free.size, self.cols), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, list(pivots)] = -reduced._a[:rank][:, free].T % p
         return Matrix._adopt(self.spec, basis)
 
     def invert(self) -> Matrix:
@@ -299,10 +308,11 @@ class Matrix:
 
     @classmethod
     def from_json_dict(cls, payload: dict, spec: FieldSpec | None = None) -> Matrix:
-        got = FieldSpec(int(payload["p"]))
+        payload = loaded(payload, dict, "matrix")
+        got = FieldSpec(loaded(payload["p"], int, "p"))
         if spec is not None and got != spec:
             raise MixedFields(f"payload is over {got!r}, expected {spec!r}")
-        rows, cols = int(payload["rows"]), int(payload["cols"])
+        rows, cols = loaded(payload["rows"], int, "rows"), loaded(payload["cols"], int, "cols")
         data = payload["data"]
         if rows == 0 and data == []:
             return cls.zeros(got, 0, cols)

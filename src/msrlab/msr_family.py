@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .errors import BadLambda, BadParams, FieldTooSmall, StructuralError
 from .field import FieldElement, FieldSpec
-from .matrix import Matrix
+from .matrix import Matrix, loaded
 from .subspace import Subspace, is_direct_sum_full
 
 
@@ -234,12 +234,17 @@ class MsrSubspaceFamily:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> MsrSubspaceFamily:
-        spec = FieldSpec(int(payload["p"]))
-        subspaces = [Subspace.from_json_dict(d, spec) for d in payload["subspaces"]]
-        maps = [
-            [Matrix.from_json_dict(d, spec) for d in row] for row in payload["maps"]
+        payload = loaded(payload, dict, "family")
+        spec = FieldSpec(loaded(payload["p"], int, "p"))
+        subspaces = [
+            Subspace.from_json_dict(d, spec) for d in loaded(payload["subspaces"], list, "subspaces")
         ]
-        return cls(int(payload["ell"]), int(payload["r"]), spec, subspaces, maps)
+        maps = [
+            [Matrix.from_json_dict(d, spec) for d in loaded(row, list, "maps row")]
+            for row in loaded(payload["maps"], list, "maps")
+        ]
+        ell, r = loaded(payload["ell"], int, "ell"), loaded(payload["r"], int, "r")
+        return cls(ell, r, spec, subspaces, maps)
 
     def __repr__(self) -> str:
         return (

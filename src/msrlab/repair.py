@@ -33,7 +33,7 @@ from .errors import (
     StructuralError,
 )
 from .field import FieldSpec
-from .matrix import Matrix
+from .matrix import Matrix, loaded
 from .msr_family import MsrSubspaceFamily, construct_tensor_family
 from .subspace import Subspace, is_direct_sum_full
 
@@ -109,11 +109,14 @@ class VectorCodeSystematic:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> VectorCodeSystematic:
-        spec = FieldSpec(int(payload["p"]))
+        payload = loaded(payload, dict, "code")
+        spec = FieldSpec(loaded(payload["p"], int, "p"))
         parity = [
-            [Matrix.from_json_dict(d, spec) for d in row] for row in payload["parity"]
+            [Matrix.from_json_dict(d, spec) for d in loaded(row, list, "parity row")]
+            for row in loaded(payload["parity"], list, "parity")
         ]
-        return cls(int(payload["n"]), int(payload["k"]), int(payload["ell"]), spec, parity)
+        n, k, ell = (loaded(payload[key], int, key) for key in ("n", "k", "ell"))
+        return cls(n, k, ell, spec, parity)
 
 
 def _check_repair_matrix(mat: Matrix, ell: int, r: int, spec: FieldSpec, label: str):
@@ -175,18 +178,18 @@ class GeneralRepairScheme:
 
 
 def scheme_from_json_dict(payload: dict):
+    payload = loaded(payload, dict, "scheme")
     if "p" not in payload or "repair" not in payload:
         raise BadParams("scheme payload needs 'kind', 'p' and 'repair' keys")
-    spec = FieldSpec(int(payload["p"]))
+    spec = FieldSpec(loaded(payload["p"], int, "p"))
+    repair = loaded(payload["repair"], list, "repair")
     if payload.get("kind") == "constant":
-        return ConstantRepairScheme(
-            tuple(Matrix.from_json_dict(d, spec) for d in payload["repair"])
-        )
+        return ConstantRepairScheme(tuple(Matrix.from_json_dict(d, spec) for d in repair))
     if payload.get("kind") == "general":
         return GeneralRepairScheme(
             tuple(
-                tuple(Matrix.from_json_dict(d, spec) for d in row)
-                for row in payload["repair"]
+                tuple(Matrix.from_json_dict(d, spec) for d in loaded(row, list, "repair row"))
+                for row in repair
             )
         )
     raise BadParams(f"unknown scheme kind {payload.get('kind')!r}")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import AmbientMismatch, MixedFields, ShapeMismatch
 from .field import FieldSpec
-from .matrix import Matrix
+from .matrix import Matrix, loaded
 
 
 class Subspace:
@@ -138,11 +138,12 @@ class Subspace:
 
     @classmethod
     def from_json_dict(cls, payload: dict, spec: FieldSpec | None = None) -> Subspace:
-        got = FieldSpec(int(payload["p"]))
+        payload = loaded(payload, dict, "subspace")
+        got = FieldSpec(loaded(payload["p"], int, "p"))
         if spec is not None and got != spec:
             raise MixedFields(f"payload is over {got!r}, expected {spec!r}")
-        ambient = int(payload["ambient"])
-        rows = payload["basis"]
+        ambient = loaded(payload["ambient"], int, "ambient")
+        rows = loaded(payload["basis"], list, "basis")
         if not rows:
             return cls.zero(got, ambient)
         return cls(got, ambient, Matrix.from_json_rows(got, rows))

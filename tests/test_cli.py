@@ -74,7 +74,7 @@ def test_malformed_map_entry_is_input_error(family_file, command, entry, capsys)
     assert "Traceback" not in out + err
 
 
-@pytest.mark.parametrize("basis", [[[1.0, 0, 0, 0]], [[1, 0, 0, "x"]], [1, 0, 0, 0]])
+@pytest.mark.parametrize("basis", [[[1.0, 0, 0, 0]], [[1, 0, 0, "x"]], [1, 0, 0, 0], None, 0])
 def test_malformed_subspace_basis_is_input_error(family_file, basis, capsys):
     payload = json.loads(family_file.read_text())
     payload["subspaces"][0]["basis"] = basis
@@ -82,6 +82,71 @@ def test_malformed_subspace_basis_is_input_error(family_file, basis, capsys):
     code, _, err = run(capsys, "verify", "--in", str(family_file))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["verify", "bound", "decay"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", None), ("subspaces", 5), ("maps", None), ("r", [1]), ("ell", "4"), ("ell", True)],
+)
+def test_malformed_family_field_is_input_error(family_file, command, field, value, capsys):
+    payload = json.loads(family_file.read_text())
+    payload[field] = value
+    family_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command, "--in", str(family_file))
+    assert code == 2
+    assert err.startswith(f"error: {field} must be")
+    assert "Traceback" not in out + err
+
+
+def _json_paths(node, prefix=()):
+    """Every key or first-index path into a loaded JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and node:
+        items = [(0, node[0])]
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def test_every_malformed_family_field_maps_to_an_exit_code(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    assert main(["construct", "--r", "2", "--m", "1", "--p", "3", "--out", str(path)]) == 0
+    base = json.loads(path.read_text())
+    for where in _json_paths(base):
+        for value in (None, -1, "x", [1], [[]], {}, True, 1.5):
+            payload = json.loads(json.dumps(base))
+            node = payload
+            for key in where[:-1]:
+                node = node[key]
+            node[where[-1]] = value
+            path.write_text(json.dumps(payload))
+            for command in ("verify", "bound"):
+                code = main([command, "--in", str(path)])
+                assert code in (0, 1, 2), (where, value, command)
+    capsys.readouterr()
+
+
+def test_malformed_code_and_scheme_fields_are_input_errors(instance_files, capsys):
+    code_path, scheme_path = instance_files
+    for path, field, value in [
+        (code_path, "n", None),
+        (code_path, "parity", 3),
+        (scheme_path, "p", [3]),
+        (scheme_path, "repair", None),
+    ]:
+        original = path.read_text()
+        payload = json.loads(original)
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "repair-check", "--code", str(code_path), "--scheme", str(scheme_path))
+        path.write_text(original)
+        assert code == 2, (field, value)
+        assert err.startswith(f"error: {field} must be")
+        assert "Traceback" not in out + err
 
 
 def test_ceiling_exceeded(tmp_path, capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from msrlab.cli import main
 from msrlab.errors import (
     AmbientMismatch,
     BadParams,
@@ -20,7 +21,6 @@ from msrlab.field import FieldSpec
 from msrlab.invariant import (
     MapConstraint,
     composition_isomorphism_check,
-    constraint_equations,
     decay_trace,
     invariant_dim,
     invariant_space,
@@ -70,6 +70,27 @@ def random_subspace(spec, ambient, rng):
     )
 
 
+def constraint_equations(constraint):
+    """Equation rows on the vectorized map imposed by one constraint: one
+    Kronecker row a (x) n per source basis row a and target annihilator row
+    n. The stacked system of these rows is the reference the incremental
+    restriction in msrlab.invariant is checked against."""
+    source = constraint.source.basis
+    annihilator = constraint.target.annihilator().basis
+    ell = constraint.source.ambient_dim
+    if source.rows == 0 or annihilator.rows == 0:
+        return Matrix.zeros(constraint.source.spec, 0, ell * ell)
+    return source.kron(annihilator)
+
+
+def kron_invariant_space(constraints, spec, ambient):
+    """The invariant maps as the kernel of the whole stacked system."""
+    if not constraints:
+        return Subspace.full(spec, ambient * ambient)
+    system = Matrix.vstack([constraint_equations(c) for c in constraints])
+    return Subspace.span_of(system.kernel())
+
+
 # ---------------------------------------------------------------- dimensions
 
 def test_no_constraints_gives_all_maps():
@@ -110,6 +131,43 @@ def test_constraint_equations_shape():
     eqs = constraint_equations(MapConstraint.fixing(sub))
     assert eqs.cols == 4
     assert eqs.rows == sub.dim * sub.annihilator().dim == 1
+
+
+def dense_subspace(spec, ambient, rng):
+    """The span of 1..ambient-1 random rows: a subspace that constrains
+    maps, with large entries when p is large."""
+    rows = rng.randrange(1, ambient)
+    return Subspace.span_of(
+        Matrix(spec, [[rng.randrange(spec.p) for _ in range(ambient)] for _ in range(rows)])
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_fold_matches_stacked_kronecker_system(p):
+    # at p = 2**31 - 1 a product that skipped the blocked reduction of
+    # Matrix.__matmul__ would overflow int64 and change the result
+    spec = FieldSpec(p)
+    rng = random.Random(p)
+    ambient = 5
+    edge = [
+        [MapConstraint(Subspace.zero(spec, ambient), dense_subspace(spec, ambient, rng))],
+        [MapConstraint(dense_subspace(spec, ambient, rng), Subspace.full(spec, ambient))],
+        [MapConstraint(dense_subspace(spec, ambient, rng), Subspace.zero(spec, ambient))],
+    ]
+    for trial in range(16):
+        constraints = [
+            MapConstraint(dense_subspace(spec, ambient, rng), dense_subspace(spec, ambient, rng))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        if trial < len(edge):
+            at = rng.randrange(len(constraints) + 1)
+            constraints[at:at] = edge[trial]
+        expected = kron_invariant_space(constraints, spec, ambient)
+        assert invariant_space(constraints, spec=spec, ambient=ambient) == expected
+        assert invariant_dim(constraints, spec=spec, ambient=ambient) == expected.dim
+        system = Matrix.vstack([constraint_equations(c) for c in constraints])
+        assert expected.dim == ambient * ambient - system.rank()
+    assert invariant_space([], spec=spec, ambient=ambient) == kron_invariant_space([], spec, ambient)
 
 
 def test_identity_is_invariant_when_fixing():
@@ -199,6 +257,65 @@ def test_decay_trace_order_independent_endpoints():
         assert trace.dims[-1] >= 1
 
 
+def test_decay_dims_match_stacked_kronecker_system():
+    family = construct_tensor_family(2, 3, GF3, 2)
+    rng = random.Random(29)
+    orders = [list(range(family.k)), list(reversed(range(family.k)))]
+    for _ in range(3):
+        orders.append(rng.sample(range(family.k), family.k))
+    for order in orders:
+        expected = [
+            kron_invariant_space(
+                [MapConstraint.fixing(family.subspaces[i]) for i in order[:t]], GF3, family.ell
+            ).dim
+            for t in range(family.k + 1)
+        ]
+        assert list(decay_trace(family, order).dims) == expected
+
+
+# `msrlab decay --order random:S` on the r = 2, m = 3 family over GF(3), as
+# printed when every step eliminated the whole stacked Kronecker system.
+DECAY_STDOUT = {
+    3: """\
+t  invariant_dim  bound_numerator  bound_denominator  pass
+0  64             64               1                  True
+1  48             48               1                  True
+2  36             36               1                  True
+3  27             27               1                  True
+4  18             81               4                  True
+5  12             243              16                 True
+6  8              729              64                 True
+7  4              2187             256                True
+8  2              6561             1024               True
+9  1              19683            4096               True
+decay holds along order [1, 5, 6, 0, 8, 4, 7, 2, 3]: final dim 1
+""",
+    8: """\
+t  invariant_dim  bound_numerator  bound_denominator  pass
+0  64             64               1                  True
+1  48             48               1                  True
+2  36             36               1                  True
+3  27             27               1                  True
+4  18             81               4                  True
+5  12             243              16                 True
+6  6              729              64                 True
+7  3              2187             256                True
+8  2              6561             1024               True
+9  1              19683            4096               True
+decay holds along order [4, 2, 6, 0, 7, 1, 8, 5, 3]: final dim 1
+""",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DECAY_STDOUT))
+def test_decay_cli_stdout_is_unchanged(seed, tmp_path, capsys):
+    path = tmp_path / "family.json"
+    assert main(["construct", "--r", "2", "--m", "3", "--p", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["decay", "--in", str(path), "--order", f"random:{seed}"]) == 0
+    assert capsys.readouterr().out == DECAY_STDOUT[seed]
+
+
 def test_decay_requires_verified_family():
     bad = MsrSubspaceFamily(
         ell=2, r=2, spec=GF3,
@@ -229,10 +346,10 @@ def test_lemma_violation_payload():
 # ---------------------------------------------------------------- composition
 
 def test_composition_isomorphism_full_grid():
-    family = construct_tensor_family(2, 1, GF3, 2)
-    for t in range(1, family.k + 1):
-        for j in range(family.r):
-            assert composition_isomorphism_check(family, t, j)
+    for family in (construct_tensor_family(2, 1, GF3, 2), construct_tensor_family(2, 2, GF3, 2)):
+        for t in range(1, family.k + 1):
+            for j in range(family.r):
+                assert composition_isomorphism_check(family, t, j)
 
 
 def test_composition_isomorphism_range_errors():

@@ -228,6 +228,30 @@ def test_kernel_annihilates_and_rank_nullity():
             assert kern.rank() == kern.rows
 
 
+def kernel_by_loop(mat):
+    """The kernel basis filled entry by entry from the reduced form: a unit
+    at each free column, minus the reduced entries at the pivot columns."""
+    p = mat.spec.p
+    reduced, rank, pivots = mat.rref()
+    free = [c for c in range(mat.cols) if c not in set(pivots)]
+    basis = [[0] * mat.cols for _ in free]
+    for row_idx, f in enumerate(free):
+        basis[row_idx][f] = 1
+        for i, c in enumerate(pivots):
+            basis[row_idx][c] = (-reduced.to_lists()[i][f]) % p
+    return basis
+
+
+def test_kernel_matches_entrywise_construction():
+    rng = random.Random(43)
+    for spec in (GF2, GF5, BIG):
+        for _ in range(25):
+            mat = random_matrix(spec, rng.randrange(0, 6), rng.randrange(1, 7), rng)
+            assert mat.kernel().to_lists() == kernel_by_loop(mat)
+    for mat in (Matrix.zeros(GF5, 3, 4), Matrix.identity(GF5, 4), Matrix.zeros(GF5, 0, 3)):
+        assert mat.kernel().to_lists() == kernel_by_loop(mat)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.lists(
