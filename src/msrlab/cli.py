@@ -89,6 +89,18 @@ def _parse_int_list(text: str) -> list[int]:
         raise BadParams(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _ell_within(r: int, m: int, ceiling: int) -> int:
+    """r ** m for r >= 2, multiplied up one factor at a time so that a power
+    above the ceiling raises CeilingExceeded before it grows any larger.
+    Any other r is left for the construction to reject."""
+    ell = 1
+    for _ in range(m if r >= 2 else 0):
+        ell *= r
+        if ell > ceiling:
+            raise CeilingExceeded(f"ell = {r}**{m} exceeds ceiling {ceiling}")
+    return ell
+
+
 def _write_csv(path: str | None, header: Sequence, rows: Sequence[Sequence]) -> None:
     """Emit rows as CSV to path, or as an aligned table to stdout."""
     if path is not None:
@@ -111,11 +123,7 @@ def _write_csv(path: str | None, header: Sequence, rows: Sequence[Sequence]) -> 
 # subcommands
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    ell = args.r ** args.m
-    if ell > args.ceiling:
-        raise CeilingExceeded(
-            f"ell = {args.r}**{args.m} = {ell} exceeds ceiling {args.ceiling}"
-        )
+    _ell_within(args.r, args.m, args.ceiling)
     spec = FieldSpec(args.p)
     family = construct_tensor_family(args.r, args.m, spec, args.lam)
     _write_json(args.out, family.to_json_dict())
@@ -187,11 +195,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     bad = None
     for r in r_values:
         for m in m_values:
-            ell = r ** m
-            if ell > args.ceiling:
-                raise CeilingExceeded(
-                    f"grid entry r={r}, m={m} gives ell={ell} > ceiling {args.ceiling}"
-                )
+            ell = _ell_within(r, m, args.ceiling)
             family = construct_tensor_family(r, m, spec, args.lam)
             verified = family.verify().ok
             bound = family.bound_check()

@@ -22,7 +22,8 @@ class ShapeMismatch(MsrLabError):
 
 
 class BadEntry(MsrLabError):
-    """A matrix entry loaded from a file is not an integer."""
+    """A field loaded from a file (a matrix entry, a number, a list or an
+    object) does not have the type it must have."""
 
 
 class Singular(MsrLabError):

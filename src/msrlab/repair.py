@@ -119,15 +119,6 @@ class VectorCodeSystematic:
         return cls(n, k, ell, spec, parity)
 
 
-def _check_repair_matrix(mat: Matrix, ell: int, r: int, spec: FieldSpec, label: str):
-    if mat.spec != spec:
-        raise SchemeInvalid(f"{label} over {mat.spec!r}")
-    if mat.shape != (ell // r, ell):
-        raise SchemeInvalid(f"{label} has shape {mat.shape}, expected ({ell // r}, {ell})")
-    if mat.rank() != ell // r:
-        raise SchemeInvalid(f"{label} is not full row rank")
-
-
 @dataclass(frozen=True, eq=False)
 class ConstantRepairScheme:
     """One repair matrix per systematic node, shared by all parity units."""
@@ -138,6 +129,9 @@ class ConstantRepairScheme:
         object.__setattr__(self, "matrices", tuple(self.matrices))
         if not self.matrices:
             raise SchemeInvalid("scheme with no repair matrices")
+        for m, mat in enumerate(self.matrices):
+            if mat.rank() != mat.rows:
+                raise SchemeInvalid(f"repair matrix for node {m} is not full row rank")
 
     def matrix_for(self, parity_unit: int, node: int) -> Matrix:
         return self.matrices[node]
@@ -165,6 +159,10 @@ class GeneralRepairScheme:
         width = len(self.matrices[0])
         if any(len(row) != width for row in self.matrices):
             raise SchemeInvalid("ragged repair matrix grid")
+        for i, row in enumerate(self.matrices):
+            for m, mat in enumerate(row):
+                if mat.rank() != mat.rows:
+                    raise SchemeInvalid(f"repair matrix ({i},{m}) is not full row rank")
 
     def matrix_for(self, parity_unit: int, node: int) -> Matrix:
         return self.matrices[parity_unit][node]
@@ -202,19 +200,21 @@ def _validate_scheme(code: VectorCodeSystematic, scheme):
     if isinstance(scheme, ConstantRepairScheme):
         if len(scheme.matrices) != k:
             raise SchemeInvalid(f"{len(scheme.matrices)} repair matrices for k={k} nodes")
-        for m, mat in enumerate(scheme.matrices):
-            _check_repair_matrix(mat, ell, r, code.spec, f"repair matrix for node {m}")
+        labelled = [(f"for node {m}", mat) for m, mat in enumerate(scheme.matrices)]
     elif isinstance(scheme, GeneralRepairScheme):
-        if len(scheme.matrices) != r or len(scheme.matrices[0]) != k:
-            raise SchemeInvalid(
-                f"repair grid is {len(scheme.matrices)}x{len(scheme.matrices[0])}, "
-                f"expected {r}x{k}"
-            )
-        for i, row in enumerate(scheme.matrices):
-            for m, mat in enumerate(row):
-                _check_repair_matrix(mat, ell, r, code.spec, f"repair matrix ({i},{m})")
+        grid = scheme.matrices
+        if len(grid) != r or len(grid[0]) != k:
+            raise SchemeInvalid(f"repair grid is {len(grid)}x{len(grid[0])}, expected {r}x{k}")
+        labelled = [(f"({i},{m})", mat) for i, row in enumerate(grid) for m, mat in enumerate(row)]
     else:
         raise TypeError(f"unknown scheme type {type(scheme).__name__}")
+    for label, mat in labelled:
+        if mat.spec != code.spec:
+            raise SchemeInvalid(f"repair matrix {label} over {mat.spec!r}")
+        if mat.shape != (ell // r, ell):
+            raise SchemeInvalid(
+                f"repair matrix {label} has shape {mat.shape}, expected ({ell // r}, {ell})"
+            )
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,9 @@ class SchemeReport:
 
 
 def check_msr_scheme(code: VectorCodeSystematic, scheme, m: int) -> SchemeReport:
-    """Certify the two repair conditions at systematic node m."""
+    """Certify the two repair conditions at systematic node m. Every S @ C
+    has full row rank ell/r (the scheme checks S, the code checks C), so the
+    r row spaces for another node coincide once the last r-1 lie in the first."""
     _validate_scheme(code, scheme)
     if not 0 <= m < code.k:
         raise IndexOutOfRange(f"node {m} outside range({code.k})")
@@ -252,11 +254,9 @@ def check_msr_scheme(code: VectorCodeSystematic, scheme, m: int) -> SchemeReport
     for other in range(code.k):
         if other == m:
             continue
-        spans = [
-            Subspace.span_of(scheme.matrix_for(i, m) @ code.parity[i][other])
-            for i in range(code.r)
-        ]
-        interference.append((other, all(s == spans[0] for s in spans[1:])))
+        first = Subspace.span_of(scheme.matrix_for(0, m) @ code.parity[0][other])
+        shares = (scheme.matrix_for(i, m) @ code.parity[i][other] for i in range(1, code.r))
+        interference.append((other, all(first.coordinates(s) is not None for s in shares)))
     return SchemeReport(
         node=m, regeneration_ok=regeneration_ok, interference_ok=tuple(interference)
     )
@@ -308,8 +308,8 @@ def repair_node(
     blocks is the full codeword (entry m is ignored and may be None). Every
     parity node k+i sends S_{i,m} @ (its block); every other systematic node
     m' sends S_{0,m} @ C[0][m'] @ (its block), which by alignment determines
-    the interference of node m' inside every parity answer. Subtracting the
-    interference leaves the stacked invertible system for block m.
+    the interference S_{i,m} @ C[i][m'] of node m' inside all r parity answers
+    in one solve. Subtracting it leaves the stacked invertible system for m.
     """
     report = check_msr_scheme(code, scheme, m)
     if not report.ok:
@@ -327,29 +327,21 @@ def repair_node(
     sent: dict[int, Matrix] = {}
     for i in range(r):
         sent[k + i] = scheme.matrix_for(i, m) @ stored[k + i]
-    representative = {}
+    answers = Matrix.vstack([sent[k + i] for i in range(r)])
     for other in range(k):
         if other == m:
             continue
-        representative[other] = scheme.matrix_for(0, m) @ code.parity[0][other]
-        sent[other] = representative[other] @ stored[other]
-
-    cleaned = []
-    for i in range(r):
-        answer = sent[k + i]
-        for other in range(k):
-            if other == m:
-                continue
-            contribution = scheme.matrix_for(i, m) @ code.parity[i][other]
-            # contribution rows lie in the row space of the representative
-            factor = representative[other].solve_left(contribution)
-            answer = answer - factor @ sent[other]
-        cleaned.append(answer)
+        representative = scheme.matrix_for(0, m) @ code.parity[0][other]
+        sent[other] = representative @ stored[other]
+        shares = Matrix.vstack(
+            [scheme.matrix_for(i, m) @ code.parity[i][other] for i in range(r)]
+        )
+        answers = answers - representative.solve_left(shares) @ sent[other]
 
     stacked = Matrix.vstack(
         [scheme.matrix_for(i, m) @ code.parity[i][m] for i in range(r)]
     )
-    block = stacked.invert() @ Matrix.vstack(cleaned)
+    block = stacked.invert() @ answers
 
     per_helper = tuple(sorted((node, vec.rows) for node, vec in sent.items()))
     total = sum(count for _, count in per_helper)

@@ -154,8 +154,8 @@ class Subspace:
 
 def is_direct_sum_full(parts: Sequence[Subspace]) -> bool:
     """True when the parts sum directly to the whole ambient space: their
-    dimensions add up to the ambient dimension and their sum has that
-    dimension too."""
+    dimensions add up to the ambient dimension and their stacked bases,
+    ranked in one elimination, have that rank too."""
     if not parts:
         raise AmbientMismatch("need at least one part")
     first = parts[0]
@@ -163,10 +163,7 @@ def is_direct_sum_full(parts: Sequence[Subspace]) -> bool:
         first._check_compatible(part)
     if sum(part.dim for part in parts) != first.ambient_dim:
         return False
-    running = parts[0]
-    for part in parts[1:]:
-        running = running.sum(part)
-    return running.dim == first.ambient_dim
+    return Matrix.vstack([part.basis for part in parts]).rank() == first.ambient_dim
 
 
 def intersect_all(parts: Sequence[Subspace]) -> Subspace:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
-from msrlab.cli import main
+from msrlab.cli import _ell_within, main
+from msrlab.errors import CeilingExceeded
 from msrlab.msr_family import MsrSubspaceFamily
 from msrlab.repair import ConstantRepairScheme, evenodd_constant_instance, random_constant_instance
 
@@ -312,3 +314,66 @@ def test_selftest_deterministic(capsys):
     code, second, _ = run(capsys, "selftest", "--seed", "3")
     assert code == 0
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--r", "3", "--m", "30000000", "--p", "3", "--out", "unused.json"],
+        ["sweep", "--r-list", "3", "--m-list", "20000000"],
+    ],
+)
+def test_ceiling_refuses_huge_powers_at_once(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error: ell = 3**") and "exceeds ceiling 81" in err
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "unused.json").exists()
+
+
+def test_ceiling_decision_matches_the_power():
+    for r in range(-3, 5):
+        for m in range(-1, 7):
+            for ceiling in (-1, 0, 1, 8, 9, 81):
+                if r < 2 or m < 1:  # left for the construction to reject
+                    _ell_within(r, m, ceiling)
+                elif r**m > ceiling:
+                    with pytest.raises(CeilingExceeded, match=f"{r}\\*\\*{m} exceeds ceiling"):
+                        _ell_within(r, m, ceiling)
+                else:
+                    assert _ell_within(r, m, ceiling) == r**m
+
+
+@pytest.mark.parametrize("kind", ["constant", "general"])
+@pytest.mark.parametrize("command", ["repair-check", "extract"])
+def test_rank_deficient_scheme_file_is_an_input_error(kind, command, tmp_path, capsys):
+    code, scheme = random_constant_instance(5, 3, 4, random.Random(2))
+    payload = scheme.to_json_dict()
+    flat = dict(payload["repair"][1], data=[[1, 2, 0, 1], [2, 1, 0, 2]])  # rank 1 over GF(3)
+    payload["repair"][1] = flat
+    if kind == "general":
+        payload = {"kind": "general", "p": 3, "repair": [payload["repair"], payload["repair"]]}
+    code_path = tmp_path / "code.json"
+    scheme_path = tmp_path / "scheme.json"
+    code_path.write_text(json.dumps(code.to_json_dict()))
+    scheme_path.write_text(json.dumps(payload))
+    status, out, err = run(capsys, command, "--code", str(code_path), "--scheme", str(scheme_path))
+    assert status == 2
+    assert err.startswith("error: repair matrix") and "is not full row rank" in err
+    assert "Traceback" not in out + err
+
+
+def test_zero_r_with_negative_m_is_an_input_error(tmp_path, capsys):
+    # 0 ** -1 used to raise ZeroDivisionError before the construction could
+    # reject the parameters
+    for argv in (
+        ["construct", "--r", "0", "--m", "-1", "--p", "3", "--out", str(tmp_path / "f.json")],
+        ["sweep", "--r-list", "0", "--m-list", "-1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: need r >= 2 and m >= 1")
+        assert "Traceback" not in out + err
