@@ -225,7 +225,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "failure": "sweep",
             "row": {name: str(cell) for name, cell in zip(SWEEP_HEADER, row)},
             "family": family.to_json_dict(),
-            "replay": f"msrlab sweep --r-list {row[0]} --m-list {row[1]} --p {args.p}",
+            "replay": (
+                f"msrlab sweep --r-list {row[0]} --m-list {row[1]} --p {args.p}"
+                f" --lambda {args.lam} --ceiling {args.ceiling}"
+            ),
         }
     )
 

@@ -1,11 +1,14 @@
 """Dense matrices over GF(p) with exact elimination.
 
-Entries live in read-only numpy int64 arrays, reduced mod p. The modulus is
-capped at 2**31 - 1, so any product of two residues fits in an int64; dot
-products are accumulated in blocks small enough that no intermediate ever
-reaches 2**63. Row reduction always picks the first nonzero entry in column
-order, so the reduced form of a given row space is unique and matrices can
-be compared entry by entry.
+Entries live in read-only numpy int64 arrays, reduced mod p. A product of
+at least 4096 multiply-adds whose dot products stay below 2**24
+(inner * (p-1)**2 < 2**24) runs in float32 BLAS, which carries those
+integers exactly. Every other product runs in int64, the fallback and the
+reference: the modulus is capped at 2**31 - 1, so any product of two
+residues fits in an int64, and dot products are accumulated in blocks small
+enough that no intermediate ever reaches 2**63. Row reduction always picks
+the first nonzero entry in column order, so the reduced form of a given row
+space is unique and matrices can be compared entry by entry.
 
 Vectors are 1 x n matrices and maps act on them from the right (x -> x @ M)
 unless a function says otherwise.
@@ -205,7 +208,16 @@ class Matrix:
         inner = self.cols
         # Largest run of products that cannot overflow when summed.
         step = max(1, (2**62) // ((p - 1) ** 2 + 1))
-        if inner <= step:
+        if self.rows * inner * other.cols >= 4096 and inner * (p - 1) ** 2 < 2**24:
+            # float32 as an exact integer carrier (Dumas, Giorgi, Pernet,
+            # ACM TOMS 2008). Entries are residues in [0, p), so each product
+            # is at most (p-1)**2 and every partial sum, in any order and
+            # with or without FMA, is an integer of at most inner*(p-1)**2
+            # < 2**24. float32 holds every integer up to 2**24 exactly, so
+            # BLAS returns the exact integer product. Below 4096
+            # multiply-adds the int64 product is faster than the conversions.
+            prod = (self._a.astype(np.float32) @ other._a.astype(np.float32)).astype(np.int64) % p
+        elif inner <= step:
             prod = self._a @ other._a % p
         else:
             prod = np.zeros((self.rows, other.cols), dtype=np.int64)
@@ -274,8 +286,9 @@ class Matrix:
         n = self.rows
         aug = Matrix.hstack([self, Matrix.identity(self.spec, n)])
         reduced, _, pivots = aug.rref()
-        if sum(1 for c in pivots if c < n) < n:
-            raise Singular(f"matrix of rank {self.rank()} < {n}")
+        rank = sum(c < n for c in pivots)
+        if rank < n:
+            raise Singular(f"matrix of rank {rank} < {n}")
         return Matrix._wrap(self.spec, reduced._a[:, n:])
 
     def solve_left(self, rhs: Matrix) -> Matrix:

@@ -231,6 +231,21 @@ def test_sweep_small_grid(capsys):
     assert all("True" in line for line in lines[1:3])
 
 
+def test_sweep_failure_replay_reproduces_the_report(capsys):
+    # lambda = 3 gives r = 4, m = 1 a ratio below a quarter; the replay must
+    # rebuild that family, not the default lambda = 2 one
+    argv = ("sweep", "--r-list", "4", "--m-list", "1", "--p", "5", "--lambda", "3", "--ceiling", "64")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    report = json.loads(out[out.index("{"):])
+    assert report["row"]["ratio_ge_quarter"] == "False"
+    replay = report["replay"].split()
+    assert replay[0] == "msrlab"
+    code, again, _ = run(capsys, *replay[1:])
+    assert code == 1
+    assert json.loads(again[again.index("{"):]) == report
+
+
 def test_sweep_empty_grid(capsys):
     code, out, _ = run(capsys, "sweep", "--r-list", "", "--m-list", "1,2")
     assert code == 0

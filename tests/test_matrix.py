@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msrlab import matrix as matrix_module
 from msrlab.errors import BadEntry, MixedFields, ShapeMismatch, Singular
 from msrlab.field import FieldSpec
 from msrlab.matrix import Matrix
@@ -140,6 +141,100 @@ def test_matmul_never_overflows():
     assert (a @ b).to_lists() == python_matmul(a.to_lists(), b.to_lists(), p)
     worst = Matrix(BIG, [[p - 1] * 50])
     assert (worst @ worst.transpose()).to_lists() == [[(50 * (p - 1) ** 2) % p]]
+
+
+PRODUCT_PRIMES = (3, 11, 257, 2**31 - 1)
+
+
+@st.composite
+def product_operands(draw):
+    """Two matrices over one of PRODUCT_PRIMES. Shapes fall on both sides of
+    the 4096 multiply-adds where products move to float32, inner sizes on
+    both sides of the float32 bound at p = 257 (inner < 256), and some
+    shapes are empty. Entries are random or all near p - 1."""
+    p = draw(st.sampled_from(PRODUCT_PRIMES))
+    small = st.integers(0, 8)
+    rows, inner, cols = draw(
+        st.one_of(
+            st.tuples(small, small, small),
+            st.tuples(st.integers(12, 24), st.integers(12, 300), st.integers(12, 24)),
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # one seed shrinks fast
+    top = draw(st.booleans())
+
+    def operand(n, m):
+        entry = (lambda: p - 1 - rng.randrange(2)) if top else (lambda: rng.randrange(p))
+        if n == 0:
+            return Matrix.zeros(FieldSpec(p), 0, m)
+        return Matrix(FieldSpec(p), [[entry() for _ in range(m)] for _ in range(n)])
+
+    return operand(rows, inner), operand(inner, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+def test_matmul_matches_python_ints_on_both_paths(operands):
+    a, b = operands
+    p = a.spec.p
+    prod = a @ b
+    expected = python_matmul(a.to_lists(), b.to_lists(), p) if a.cols else [[0] * b.cols] * a.rows
+    assert prod.shape == (a.rows, b.cols)
+    assert prod.to_lists() == expected
+    assert prod._a.dtype == np.int64
+    assert np.all((prod._a >= 0) & (prod._a < p))
+    assert not prod._a.flags.writeable
+    assert not np.shares_memory(prod._a, a._a)
+    assert not np.shares_memory(prod._a, b._a)
+
+
+def float_conversions(monkeypatch):
+    """A list that grows whenever matrix.py reaches for np.float32, i.e.
+    whenever a product takes the float path."""
+    seen = []
+
+    class NumpySpy:
+        def __getattr__(self, name):
+            if name == "float32":
+                seen.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(matrix_module, "np", NumpySpy())
+    return seen
+
+
+def test_float_bound_is_pinned_at_p_257(monkeypatch):
+    # Every dot product below is inner * 255**2. The float path needs
+    # inner * 256**2 < 2**24, so inner = 255 takes it and inner = 259 must
+    # not: there float32 returns 16,841,476 for the exact 16,841,475.
+    spec = FieldSpec(257)
+    wide = np.full((8, 259), 255, dtype=np.float32)
+    assert int((wide @ wide.T)[0, 0]) == 16_841_476 != 259 * 255**2
+    conversions = float_conversions(monkeypatch)
+    for inner, float_path in ((255, True), (259, False)):
+        a = Matrix(spec, [[255] * inner] * 8)
+        conversions.clear()
+        assert (a @ a.transpose()).to_lists() == [[inner * 255**2 % 257] * 8] * 8
+        assert bool(conversions) == float_path
+
+
+def test_float_path_needs_4096_multiply_adds_and_a_small_p(monkeypatch):
+    rng = random.Random(7)
+    conversions = float_conversions(monkeypatch)
+    # 8 x 16 x 16 is 2,048 multiply-adds; 16 x 16 x 16 is 4,096
+    for spec, rows, float_path in ((GF3, 8, False), (BIG, 16, False), (GF3, 16, True)):
+        a = random_matrix(spec, rows, 16, rng)
+        b = random_matrix(spec, 16, 16, rng)
+        conversions.clear()
+        assert (a @ b).to_lists() == python_matmul(a.to_lists(), b.to_lists(), spec.p)
+        assert bool(conversions) == float_path
+
+
+def test_empty_products():
+    for rows, inner, cols in ((0, 5, 3), (3, 0, 4), (2, 3, 0), (0, 0, 0), (0, 80, 80), (80, 0, 80)):
+        a = Matrix.zeros(GF5, rows, inner)
+        b = Matrix.zeros(GF5, inner, cols)
+        assert a @ b == Matrix.zeros(GF5, rows, cols)
 
 
 def test_transpose():
@@ -282,6 +377,17 @@ def test_invert_random():
         size = rng.randrange(1, 5)
         mat = random_invertible(GF5, size, rng)
         assert mat @ mat.invert() == Matrix.identity(GF5, size)
+
+
+def test_singular_invert_eliminates_once(monkeypatch):
+    real = Matrix.rref
+    eliminated = []
+    monkeypatch.setattr(Matrix, "rref", lambda self: eliminated.append(self) or real(self))
+    for data, rank in (([[1, 2], [2, 1]], 1), ([[0, 0, 0]] * 3, 0), ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], 2)):
+        eliminated.clear()
+        with pytest.raises(Singular, match=rf"^matrix of rank {rank} < {len(data)}$"):
+            Matrix(GF3, data).invert()
+        assert len(eliminated) == 1
 
 
 def test_solve_left():

@@ -3,6 +3,8 @@ sympy's DomainMatrix over GF(p), which shares no code with msrlab.matrix."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,3 +79,33 @@ def test_invert_matches_sympy(mat):
             mat.invert()
     else:
         assert mat.invert().to_lists() == expected
+
+
+@st.composite
+def product_operands(draw):
+    """Two matrices over GF(p) for p in 3, 11, 257, 2**31 - 1, with shapes on
+    both sides of the 4096 multiply-adds where products move to float32,
+    inner sizes on both sides of the float32 bound at p = 257 (inner < 256),
+    and some empty shapes."""
+    p = draw(st.sampled_from((3, 11, 257, 2**31 - 1)))
+    rows, inner, cols = draw(
+        st.one_of(
+            st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+            st.tuples(st.integers(16, 20), st.integers(12, 280), st.integers(16, 20)),
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # one seed shrinks fast
+
+    def operand(n, m):
+        if n == 0:
+            return Matrix.zeros(FieldSpec(p), 0, m)
+        return Matrix(FieldSpec(p), [[rng.randrange(p) for _ in range(m)] for _ in range(n)])
+
+    return operand(rows, inner), operand(inner, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_operands())
+def test_matmul_matches_sympy(operands):
+    a, b = operands
+    assert (a @ b).to_lists() == to_ints(to_sympy(a) * to_sympy(b))
