@@ -27,7 +27,7 @@ from typing import Mapping
 from .errors import BadLambda, BadParams, FieldTooSmall, StructuralError
 from .field import FieldElement, FieldSpec
 from .matrix import Matrix, loaded
-from .subspace import Subspace, is_direct_sum_full
+from .subspace import Subspace, is_direct_sum_full  # noqa: F401 (msrbench traces this binding)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +166,10 @@ class MsrSubspaceFamily:
 
     def verify(self) -> VerificationReport:
         """Recompute invertibility, regeneration, and alignment from scratch
-        on the first call; later calls return the same report. phi(H_i) == H_i
-        holds when H_i @ phi lies in H_i and phi is invertible or, failing
-        that, the coordinates of H_i @ phi in H_i have full rank."""
+        on the first call; later calls return the same report. H_i (dim ell/r)
+        over its r-1 images stacks to ell rows, of rank ell exactly when the
+        images sum directly to F^ell. phi(H_i) == H_i when H_i @ phi lies in
+        H_i and phi is invertible or those rows' coordinates have full rank."""
         if self._report is not None:
             return self._report
         invertible = {}
@@ -177,8 +178,8 @@ class MsrSubspaceFamily:
                 invertible[(i, j)] = phi.rank() == self.ell
         direct_sum = {}
         for i, sub in enumerate(self.subspaces):
-            parts = [sub] + [sub.apply_map(phi) for phi in self.maps[i]]
-            direct_sum[i] = is_direct_sum_full(parts)
+            stack = Matrix.vstack([sub.basis] + [sub.basis @ phi for phi in self.maps[i]])
+            direct_sum[i] = stack.rank() == self.ell
         alignment = {}
         for i, sub in enumerate(self.subspaces):
             for other in range(self.k):

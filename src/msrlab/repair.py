@@ -30,12 +30,13 @@ from .errors import (
     MixedFields,
     SchemeInvalid,
     ShapeMismatch,
+    Singular,
     StructuralError,
 )
 from .field import FieldSpec
 from .matrix import Matrix, loaded
 from .msr_family import MsrSubspaceFamily, construct_tensor_family
-from .subspace import Subspace, is_direct_sum_full
+from .subspace import Subspace, is_direct_sum_full  # noqa: F401 (msrbench traces this binding)
 
 
 def as_block(spec: FieldSpec, ell: int, values) -> Matrix:
@@ -238,28 +239,37 @@ class SchemeReport:
         }
 
 
-def check_msr_scheme(code: VectorCodeSystematic, scheme, m: int) -> SchemeReport:
-    """Certify the two repair conditions at systematic node m. Every S @ C
-    has full row rank ell/r (the scheme checks S, the code checks C), so the
-    r row spaces for another node coincide once the last r-1 lie in the first."""
+def _node_solution(code: VectorCodeSystematic, scheme, m: int):
+    """The report check_msr_scheme gives for node m, the inverse of node m's
+    stacked shares S_{i,m} C[i][m], and for every other node m' the X with
+    X @ S_{0,m} C[0][m'] = its stacked shares. None marks an inverse or X
+    that does not exist, that is, a failed condition."""
     _validate_scheme(code, scheme)
     if not 0 <= m < code.k:
         raise IndexOutOfRange(f"node {m} outside range({code.k})")
-    own = [
-        Subspace.span_of(scheme.matrix_for(i, m) @ code.parity[i][m])
-        for i in range(code.r)
-    ]
-    regeneration_ok = is_direct_sum_full(own)
-    interference = []
-    for other in range(code.k):
-        if other == m:
-            continue
-        first = Subspace.span_of(scheme.matrix_for(0, m) @ code.parity[0][other])
-        shares = (scheme.matrix_for(i, m) @ code.parity[i][other] for i in range(1, code.r))
-        interference.append((other, all(first.coordinates(s) is not None for s in shares)))
-    return SchemeReport(
-        node=m, regeneration_ok=regeneration_ok, interference_ok=tuple(interference)
-    )
+    solved = {}
+    for node in range(code.k):
+        shares = Matrix.vstack(
+            [scheme.matrix_for(i, m) @ code.parity[i][node] for i in range(code.r)]
+        )
+        try:
+            if node == m:
+                solved[node] = shares.invert()
+            else:
+                solved[node] = (scheme.matrix_for(0, m) @ code.parity[0][node]).solve_left(shares)
+        except Singular:
+            solved[node] = None
+    inverse = solved.pop(m)
+    interference = tuple((other, factor is not None) for other, factor in solved.items())
+    return SchemeReport(m, inverse is not None, interference), inverse, solved
+
+
+def check_msr_scheme(code: VectorCodeSystematic, scheme, m: int) -> SchemeReport:
+    """Certify the two repair conditions at systematic node m. Every S @ C
+    has full row rank ell/r (the scheme checks S, the code checks C), so m
+    regenerates when its r stacked shares are invertible, and the r row
+    spaces for another node coincide when its shares solve against the first."""
+    return _node_solution(code, scheme, m)[0]
 
 
 def cutset_bound(n: int, k: int, ell: int) -> Fraction:
@@ -300,6 +310,14 @@ class RepairResult:
     bandwidth: BandwidthReport
 
 
+def _repair_result(node: int, block: Matrix, sent: dict, cutset: Fraction) -> RepairResult:
+    """The result of a repair in which each helper h sent the column sent[h]."""
+    per_helper = tuple(sorted((helper, vec.rows) for helper, vec in sent.items()))
+    total = sum(count for _, count in per_helper)
+    bandwidth = BandwidthReport(per_helper=per_helper, total=total, cutset=cutset)
+    return RepairResult(node, block, tuple(sorted(sent.items())), bandwidth)
+
+
 def repair_node(
     code: VectorCodeSystematic, scheme, m: int, blocks: Sequence
 ) -> RepairResult:
@@ -311,7 +329,7 @@ def repair_node(
     the interference S_{i,m} @ C[i][m'] of node m' inside all r parity answers
     in one solve. Subtracting it leaves the stacked invertible system for m.
     """
-    report = check_msr_scheme(code, scheme, m)
+    report, inverse, factors = _node_solution(code, scheme, m)
     if not report.ok:
         raise SchemeInvalid(
             f"scheme fails at node {m}: regeneration_ok={report.regeneration_ok}, "
@@ -328,28 +346,10 @@ def repair_node(
     for i in range(r):
         sent[k + i] = scheme.matrix_for(i, m) @ stored[k + i]
     answers = Matrix.vstack([sent[k + i] for i in range(r)])
-    for other in range(k):
-        if other == m:
-            continue
-        representative = scheme.matrix_for(0, m) @ code.parity[0][other]
-        sent[other] = representative @ stored[other]
-        shares = Matrix.vstack(
-            [scheme.matrix_for(i, m) @ code.parity[i][other] for i in range(r)]
-        )
-        answers = answers - representative.solve_left(shares) @ sent[other]
-
-    stacked = Matrix.vstack(
-        [scheme.matrix_for(i, m) @ code.parity[i][m] for i in range(r)]
-    )
-    block = stacked.invert() @ answers
-
-    per_helper = tuple(sorted((node, vec.rows) for node, vec in sent.items()))
-    total = sum(count for _, count in per_helper)
-    bandwidth = BandwidthReport(
-        per_helper=per_helper, total=total, cutset=cutset_bound(code.n, k, ell)
-    )
-    transmissions = tuple(sorted(sent.items()))
-    return RepairResult(node=m, block=block, transmissions=transmissions, bandwidth=bandwidth)
+    for other, factor in factors.items():
+        sent[other] = scheme.matrix_for(0, m) @ code.parity[0][other] @ stored[other]
+        answers = answers - factor @ sent[other]
+    return _repair_result(m, inverse @ answers, sent, cutset_bound(code.n, k, ell))
 
 
 def extract_family(
@@ -417,30 +417,19 @@ _EVENODD_PARITY_PLANS = {
 
 def evenodd_repair(blocks: Sequence, node: int) -> RepairResult:
     """Repair any of the four EVENODD nodes with one symbol per helper."""
-    code = evenodd_code()
-    if node in (0, 1):
-        return repair_node(code, evenodd_scheme(), node, blocks)
-    if node not in (2, 3):
+    if node not in range(4):
         raise IndexOutOfRange(f"node {node} outside range(4)")
+    if len(blocks) != 4:
+        raise ShapeMismatch(f"{len(blocks)} blocks, expected 4")
+    if node in (0, 1):
+        return repair_node(evenodd_code(), evenodd_scheme(), node, blocks)
     stored = {i: as_block(_GF2, 2, blocks[i]) for i in range(4) if i != node}
     selectors, combination = _EVENODD_PARITY_PLANS[node]
     sent = {
         helper: Matrix(_GF2, [list(row)]) @ stored[helper] for helper, row in selectors
     }
     received = Matrix.vstack([sent[helper] for helper, _ in selectors])
-    block = Matrix(_GF2, combination) @ received
-    per_helper = tuple(sorted((helper, vec.rows) for helper, vec in sent.items()))
-    bandwidth = BandwidthReport(
-        per_helper=per_helper,
-        total=sum(count for _, count in per_helper),
-        cutset=cutset_bound(4, 2, 2),
-    )
-    return RepairResult(
-        node=node,
-        block=block,
-        transmissions=tuple(sorted(sent.items())),
-        bandwidth=bandwidth,
-    )
+    return _repair_result(node, Matrix(_GF2, combination) @ received, sent, cutset_bound(4, 2, 2))
 
 
 def evenodd_constant_instance() -> tuple[VectorCodeSystematic, ConstantRepairScheme]:

@@ -2,10 +2,12 @@
 definitions they replace.
 
 Subspace.coordinates decides membership from the reduced basis with one
-product; verify() decides alignment with it plus a dimension check; and
+product; verify() decides alignment with it plus a dimension check, and
+regeneration with one rank of H stacked over its unreduced images; and
 construct_tensor_family builds every basis and map from Kronecker products.
 The oracles below are the definitions: membership as the rank of the
-stacked bases, alignment as apply_map(phi) == H, and the tensor family built
+stacked bases, alignment as apply_map(phi) == H, regeneration as
+is_direct_sum_full over the apply_map images, and the tensor family built
 row by row, with one ell x ell inverse per excluded index.
 """
 
@@ -230,9 +232,9 @@ def test_verify_matches_definition_on_constructed_and_broken_families():
 
 def test_verify_runs_once_per_family(monkeypatch):
     checks = []
-    real = msr_family.is_direct_sum_full
+    real = msr_family.VerificationReport
     monkeypatch.setattr(
-        msr_family, "is_direct_sum_full", lambda parts: checks.append(1) or real(parts)
+        msr_family, "VerificationReport", lambda **fields: checks.append(1) or real(**fields)
     )
     family = construct_tensor_family(2, 2, GF3, 2)
     twin = construct_tensor_family(2, 2, GF3, 2)
@@ -241,12 +243,25 @@ def test_verify_runs_once_per_family(monkeypatch):
     decay_trace(family)
     decay_trace(family, [5, 4, 3, 2, 1, 0])
     assert composition_isomorphism_check(family, 2, 1)
-    assert len(checks) == family.k  # one regeneration check per member, once
+    assert len(checks) == 1  # one report computed for this family object
     assert twin == family and hash(twin) == hash(family)
     assert twin.verify().to_json_dict() == report.to_json_dict()
-    assert len(checks) == 2 * family.k
+    assert len(checks) == 2
     with pytest.raises(TypeError):
         report.alignment[(0, 1, 1)] = False
+
+
+def test_verify_ranks_each_regeneration_stack_once(monkeypatch):
+    family = construct_tensor_family(3, 2, GF5, 2)
+    maps = [phi for row in family.maps for phi in row]
+    eliminated = []
+    real = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda self: eliminated.append(self) or real(self))
+    assert family.verify().ok
+    # one rank per map, then one rank per member of its ell-row regeneration stack
+    stacks = [mat for mat in eliminated if not any(mat is phi for phi in maps)]
+    assert len(eliminated) == len(maps) + family.k
+    assert [mat.shape for mat in stacks] == [(family.ell, family.ell)] * family.k
 
 
 # ---------------------------------------------------------------- construction

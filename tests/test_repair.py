@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,40 @@ def test_repair_node_rejects_failing_scheme():
     blocks = code.encode([(1, 0), (1, 1)])
     with pytest.raises(SchemeInvalid):
         repair_node(code, scheme, 1, blocks)
+
+
+def exactly(text: str) -> str:
+    return f"^{re.escape(text)}$"
+
+
+def test_failing_scheme_messages():
+    code = evenodd_code()
+    blocks = code.encode([(1, 0), (1, 1)])
+    top, bottom = Matrix(GF2, [[1, 0]]), Matrix(GF2, [[0, 1]])
+    same_rows = ConstantRepairScheme((top, top))
+    with pytest.raises(SchemeInvalid, match=exactly(
+        "scheme fails at node 1: regeneration_ok=False, interference_ok=[(0, False)]"
+    )):
+        repair_node(code, same_rows, 1, blocks)
+    # node 0's shares [1 0] and [0 1] @ C[1][0] = [1 1] span F^2, but node 1's
+    # share [0 1] under parity unit 1 leaves the span of its [1 0] under unit 0
+    unaligned = GeneralRepairScheme(((top, bottom), (bottom, top)))
+    with pytest.raises(SchemeInvalid, match=exactly(
+        "scheme fails at node 0: regeneration_ok=True, interference_ok=[(1, False)]"
+    )):
+        repair_node(code, unaligned, 0, blocks)
+    with pytest.raises(SchemeInvalid, match=exactly(
+        "constant scheme fails at node 1: regeneration_ok=False, interference_ok=[(0, False)]"
+    )):
+        extract_family(code, same_rows)
+
+
+@pytest.mark.parametrize("count", (3, 5))
+@pytest.mark.parametrize("node", range(4))
+def test_evenodd_repair_block_count(node, count):
+    blocks = evenodd_code().encode([(1, 0), (1, 1)])
+    with pytest.raises(ShapeMismatch, match=exactly(f"{count} blocks, expected 4")):
+        evenodd_repair((blocks + blocks)[:count], node)
 
 
 def test_repair_node_block_count():

@@ -1,11 +1,12 @@
 """The repair layer's one-elimination answers against the plain definitions
 they replace.
 
-is_direct_sum_full ranks the stacked bases once; check_msr_scheme tests
-interference as membership in the first span; repair_node solves once per
-helper; and a repair matrix is ranked when its scheme is built, not on every
-check. The oracles below are the definitions: the pairwise Subspace.sum
-fold, equality of all r spans, and one solve per (parity unit, helper).
+is_direct_sum_full ranks the stacked bases once; check_msr_scheme decides
+regeneration with one inverse and interference with one solve per helper,
+and repair_node decodes with those same results; and a repair matrix is
+ranked when its scheme is built, not on every check. The oracles below are
+the definitions: the pairwise Subspace.sum fold, equality of all r spans,
+and one solve per (parity unit, helper).
 """
 
 from __future__ import annotations
@@ -251,13 +252,25 @@ def test_rank_deficient_repair_matrices_are_refused_when_built():
 
 def test_full_check_ranks_no_repair_matrix(monkeypatch):
     n, k, ell = 6, 4, 16
-    r = n - k
     code, scheme = random_constant_instance(n, k, ell, random.Random(1))
     eliminated = []
     real = Matrix.rref
     monkeypatch.setattr(Matrix, "rref", lambda self: eliminated.append(self) or real(self))
     reports = [check_msr_scheme(code, scheme, m) for m in range(k)]
     assert all(report.ok for report in reports)
-    # per node: r spans of its own, one rank for the direct sum, one span per other node
-    assert len(eliminated) == k * (r + k) == 24
+    # per node: one inverse of its own stacked shares, one solve per other node
+    assert len(eliminated) == k * k == 16
     assert not any(mat is repair for mat in eliminated for repair in scheme.matrices)
+
+
+def test_repair_node_eliminates_once_per_question(monkeypatch):
+    n, k, ell = 6, 4, 16
+    rng = random.Random(1)
+    code, scheme = random_constant_instance(n, k, ell, rng)
+    blocks = code.encode([[rng.randrange(3) for _ in range(ell)] for _ in range(k)])
+    eliminated = []
+    real = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda self: eliminated.append(self) or real(self))
+    assert repair_node(code, scheme, 2, blocks).block == blocks[2]
+    # one inverse of node 2's stacked shares, one solve per other node, no re-check
+    assert len(eliminated) == k == 4
