@@ -65,10 +65,12 @@ def _as_constraint(obj) -> MapConstraint:
     raise TypeError(f"expected MapConstraint or Subspace, got {type(obj).__name__}")
 
 
-def _restrict(maps: Matrix, constraint: MapConstraint) -> Matrix:
+def _restrict(maps: Matrix | None, constraint: MapConstraint) -> Matrix | None:
     """The maps in the row span of `maps` that also satisfy `constraint`.
 
-    The rows of `maps` are independent vectorized maps psi_s. A combination
+    `maps` is None for all maps, so no ell**2 x ell**2 identity is built,
+    and it stays None while every constraint is trivial. Otherwise its rows
+    are independent vectorized maps psi_s. A combination
     sum_s c_s psi_s satisfies (A, B) exactly when sum_s c_s A psi_s N^T = 0,
     with N the annihilator basis of B. So the c form the left kernel C of the
     d x (dim A * codim B) matrix whose row s is A psi_s N^T, and the result is
@@ -76,27 +78,37 @@ def _restrict(maps: Matrix, constraint: MapConstraint) -> Matrix:
     """
     source = constraint.source.basis
     annihilator = constraint.target.annihilator().basis
+    if source.rows == 0 or annihilator.rows == 0:
+        return maps
+    if maps is None:
+        # restrict the unit maps: their equation columns are the Kronecker
+        # rows a (x) n themselves
+        return source.kron(annihilator).kernel()
     d, spec = maps.rows, maps.spec
-    if d == 0 or source.rows == 0 or annihilator.rows == 0:
+    if d == 0:
         return maps
     ell, a, c = source.cols, source.rows, annihilator.rows
-    if d == ell * ell:
-        # maps spans every map, so restrict the unit maps instead: their
-        # equation columns are the Kronecker rows a (x) n themselves
-        return source.kron(annihilator).kernel()
+    # Each stage rebinds `work`, so no earlier stage stays alive through the
+    # kernel and the final product, where memory peaks at ell = 81.
     # psi_s N^T for every s: the rows of all maps stacked, one product
-    right = Matrix._adopt(spec, maps._a.reshape(d * ell, ell)) @ annihilator.transpose()
+    work = (Matrix._adopt(spec, maps._a.reshape(d * ell, ell)) @ annihilator.transpose())._a
     # A psi_s N^T for every s: the same rows regrouped as columns (s, n)
-    stacked = right._a.reshape(d, ell, c).transpose(1, 0, 2).reshape(ell, d * c)
-    images = source @ Matrix._adopt(spec, stacked)
+    work = work.reshape(d, ell, c).transpose(1, 0, 2).reshape(ell, d * c)
+    work = (source @ Matrix._adopt(spec, work))._a
     # one equation row per (a, n) pair, one column per map psi_s
-    equations = images._a.reshape(a, d, c).transpose(0, 2, 1).reshape(a * c, d)
-    return Matrix._adopt(spec, equations).kernel() @ maps
+    work = work.reshape(a, d, c).transpose(0, 2, 1).reshape(a * c, d)
+    return Matrix._adopt(spec, work).kernel() @ maps
 
 
-def _invariant_basis(constraints, spec, ambient) -> Matrix:
-    """Independent vectorized maps spanning those that satisfy every
-    constraint, restricted from all maps one constraint at a time."""
+def _dim(maps: Matrix | None, ambient: int) -> int:
+    """Dimension of the maps `_restrict` returned, None meaning all."""
+    return ambient * ambient if maps is None else maps.rows
+
+
+def _invariant_basis(constraints, spec, ambient) -> tuple[Matrix | None, FieldSpec, int]:
+    """(maps, spec, ambient): independent vectorized maps spanning those
+    that satisfy every constraint, or None for all maps, restricted one
+    constraint at a time."""
     resolved = [_as_constraint(c) for c in constraints]
     if resolved:
         first = resolved[0]
@@ -104,14 +116,14 @@ def _invariant_basis(constraints, spec, ambient) -> Matrix:
         ambient = first.source.ambient_dim if ambient is None else ambient
     if spec is None or ambient is None:
         raise BadParams("empty constraint list needs explicit spec and ambient")
-    maps = Matrix.identity(spec, ambient * ambient)
+    maps = None
     for c in resolved:
         if c.source.spec != spec:
             raise MixedFields("constraints over different fields")
         if c.source.ambient_dim != ambient:
             raise AmbientMismatch("constraints in different ambient spaces")
         maps = _restrict(maps, c)
-    return maps
+    return maps, spec, ambient
 
 
 def invariant_space(
@@ -119,13 +131,17 @@ def invariant_space(
 ) -> Subspace:
     """The subspace of F^(ell**2) of vectorized maps satisfying every
     constraint. Bare subspaces in the list mean "maps into itself"."""
-    return Subspace.span_of(_invariant_basis(constraints, spec, ambient))
+    maps, spec, ambient = _invariant_basis(constraints, spec, ambient)
+    if maps is None:
+        return Subspace.full(spec, ambient * ambient)
+    return Subspace.span_of(maps)
 
 
 def invariant_dim(
     constraints: Iterable, *, spec: FieldSpec | None = None, ambient: int | None = None
 ) -> int:
-    return _invariant_basis(constraints, spec, ambient).rows
+    maps, _, ambient = _invariant_basis(constraints, spec, ambient)
+    return _dim(maps, ambient)
 
 
 @dataclass(frozen=True)
@@ -189,10 +205,10 @@ def decay_trace(
             raise BadParams(f"order must be a permutation of range({k})")
     ell, r = family.ell, family.r
     dims = [ell * ell]
-    maps = Matrix.identity(family.spec, ell * ell)
+    maps = None
     for t, member in enumerate(order, start=1):
         maps = _restrict(maps, MapConstraint.fixing(family.subspaces[member]))
-        dim = maps.rows
+        dim = _dim(maps, ell)
         # exact integer form of dims[t] <= dims[t-1] * (2r-1)/(2r)
         if 2 * r * dim > (2 * r - 1) * dims[-1]:
             raise LemmaViolation(
@@ -237,11 +253,11 @@ def composition_isomorphism_check(family: "MsrSubspaceFamily", t: int, j: int) -
     if family.r < 2:
         raise IndexOutOfRange("check needs r >= 2 (slot 1 must exist)")
     member = t - 1
-    prefix = _invariant_basis(family.subspaces[:member], family.spec, family.ell)
+    prefix, _, ell = _invariant_basis(family.subspaces[:member], family.spec, family.ell)
     h_t = family.subspaces[member]
     image_j = h_t.apply_map(family.map_matrix(member, j))
     image_1 = h_t.apply_map(family.map_matrix(member, 1))
-    base = _restrict(prefix, MapConstraint.fixing(h_t)).rows
-    via_fix = _restrict(prefix, MapConstraint(image_j, h_t)).rows
-    via_translate = _restrict(prefix, MapConstraint(image_j, image_1)).rows
+    base = _dim(_restrict(prefix, MapConstraint.fixing(h_t)), ell)
+    via_fix = _dim(_restrict(prefix, MapConstraint(image_j, h_t)), ell)
+    via_translate = _dim(_restrict(prefix, MapConstraint(image_j, image_1)), ell)
     return base == via_fix == via_translate

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -271,6 +272,49 @@ def test_decay_dims_match_stacked_kronecker_system():
             for t in range(family.k + 1)
         ]
         assert list(decay_trace(family, order).dims) == expected
+
+
+def closed_form_dims(r, m, order):
+    """dims along `order` for construct_tensor_family(r, m). Member
+    s*(r+1)+i is F^(r^s) (x) <v_i> (x) F^(r^(m-1-s)), so the maps fixing the
+    members used so far factor over the m slots. A slot with j of its
+    members used keeps the f(j) = r^2 - j(r-1) maps of F^r fixing j lines
+    in general position for j <= r, and only the f(r+1) = 1 scalars."""
+
+    def f(j):
+        return 1 if j == r + 1 else r * r - j * (r - 1)
+
+    used = [0] * m
+    dims = [f(0) ** m]
+    for member in order:
+        used[member // (r + 1)] += 1
+        dims.append(math.prod(f(j) for j in used))
+    return dims
+
+
+@pytest.mark.parametrize("r, m, orders", [(2, 4, 20), (3, 3, 8)])
+def test_decay_dims_match_the_closed_form(r, m, orders):
+    family = construct_tensor_family(r, m, GF3, 2)
+    assert list(decay_trace(family).dims) == closed_form_dims(r, m, range(family.k))
+    for seed in range(orders):
+        order = list(range(family.k))
+        random.Random(seed).shuffle(order)  # the order of --order random:<seed>
+        assert list(decay_trace(family, order).dims) == closed_form_dims(r, m, order)
+
+
+def test_decay_builds_no_identity_on_all_maps(monkeypatch):
+    family = construct_tensor_family(2, 3, GF3, 2)
+    sizes = []
+    real = Matrix.identity.__func__
+
+    def identity(cls, spec, n):
+        sizes.append(n)
+        return real(cls, spec, n)
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(identity))
+    assert decay_trace(family).dims[0] == family.ell**2
+    assert invariant_dim([], spec=GF3, ambient=family.ell) == family.ell**2
+    assert all(n < family.ell**2 for n in sizes)
 
 
 # `msrlab decay --order random:S` on the r = 2, m = 3 family over GF(3), as

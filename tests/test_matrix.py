@@ -401,6 +401,18 @@ def test_solve_left():
         assert solution @ a == x @ a
 
 
+def test_solve_left_rank_deficient():
+    # rows 2 and 3 of a depend on rows 0 and 1, so the free variables of
+    # X @ a = rhs are X's columns 2 and 3, and they are pinned to zero
+    r0, r1 = [1, 2, 0, 3], [0, 1, 4, 1]
+    a = Matrix(GF5, [r0, r1, [1, 3, 4, 4], [2, 4, 0, 1]])
+    coefficients = [[1, 0], [3, 2], [0, 0], [4, 4]]
+    rhs = Matrix(GF5, coefficients) @ Matrix(GF5, [r0, r1])
+    solution = a.solve_left(rhs)
+    assert solution.to_lists() == [row + [0, 0] for row in coefficients]
+    assert solution @ a == rhs
+
+
 def test_solve_left_singular():
     a = Matrix(GF3, [[1, 0], [0, 0]])
     with pytest.raises(Singular):

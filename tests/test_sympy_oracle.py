@@ -56,6 +56,33 @@ def test_rref_rank_and_pivots_match_sympy(mat):
     assert rank == mat.rank() == to_sympy(mat).rank()
 
 
+@st.composite
+def threshold_matrices(draw):
+    """Matrices whose columns each hold rows//4 or rows//4 + 1 nonzeros, so
+    the first pivot steps update just at or just above a quarter of the
+    rows: the two sides of the switch between the row-sparse and the full
+    update in the base case."""
+    p = draw(st.sampled_from((3, 7, 2**31 - 1)))
+    rows = draw(st.integers(4, 13))
+    cols = draw(st.integers(1, 16))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    data = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        for i in rng.sample(range(rows), rows // 4 + draw(st.integers(0, 1))):
+            data[i][j] = rng.randrange(1, p)
+    return Matrix(FieldSpec(p), data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(threshold_matrices())
+def test_rref_matches_sympy_at_the_row_sparse_threshold(mat):
+    reduced, rank, pivots = mat.rref()
+    expected, expected_pivots = to_sympy(mat).rref()
+    assert reduced.to_lists() == to_ints(expected)
+    assert pivots == tuple(expected_pivots)
+    assert rank == len(expected_pivots)
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_kernel_spans_the_sympy_nullspace(mat):
