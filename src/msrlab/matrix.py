@@ -8,9 +8,7 @@ reference: the modulus is capped at 2**31 - 1, so any product of two
 residues fits in an int64, and dot products are accumulated in blocks small
 enough that no intermediate ever reaches 2**63. Row reduction always picks
 the first nonzero entry in column order, so the reduced form of a given row
-space is unique and matrices can be compared entry by entry; large matrices
-are reduced in column panels whose updates are such products (see
-_eliminate_blocked).
+space is unique and matrices can be compared entry by entry.
 
 Vectors are 1 x n matrices and maps act on them from the right (x -> x @ M)
 unless a function says otherwise.
@@ -34,122 +32,6 @@ def _coerce_entry(value, spec: FieldSpec) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value) % spec.p
     raise TypeError(f"matrix entries must be ints or field elements, got {type(value).__name__}")
-
-
-def _safe_terms(p: int) -> int:
-    """Largest number of products of two residues mod p whose sum stays
-    below 2**62, so that int64 can add one more such sum without overflow."""
-    return max(1, (2**62) // ((p - 1) ** 2 + 1))
-
-
-# Blocked elimination: panels of _PANEL columns, used from _BLOCK_ROWS rows
-# and _BLOCK_COLS columns on. Measured on dense random matrices on a 2-core
-# x86 host, base case against blocked at p = 3: 96 x 96 ties (6 ms),
-# 128 x 128 takes 14 against 10 ms and 512 x 1024 2.7 against 0.2 s, and
-# 32-column panels beat 64-column ones up to 1024 rows. The sparse 64-row
-# equation systems of ell = 16 decay stay in the base case, which is twice
-# as fast on them; the 1458-row ones of ell = 81 decay cost 1.2 to 3.5
-# times the base case's time when blocked. With p near 2**31 every panel
-# product needs the chunked int64 loop and blocking took twice the base
-# case's time, so it also needs _safe_terms(p) >= _PANEL.
-_PANEL = 32
-_BLOCK_ROWS = 128
-_BLOCK_COLS = 128
-
-
-def _eliminate(a: np.ndarray, p: int, order: list[int] | None = None) -> list[int]:
-    """Reduce a, an int64 array of residues mod p, to its RREF in place and
-    return the pivot columns. Row swaps are mirrored in `order` if given.
-
-    Every row at or below the current rank is zero left of the current
-    column, so a pivot step touches only columns col: and, when at most a
-    quarter of the rows have a nonzero multiplier, only those rows (the
-    quarter was measured: 1/8 to 1/2 time the same on the benchmark
-    shapes, the 81 x 81 Kronecker maps of verify included).
-    """
-    n_rows, n_cols = a.shape
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        column = a[:, col]
-        hit = column.nonzero()[0]
-        i = int(hit.searchsorted(rank))
-        if i == hit.size:
-            continue
-        pivot_row = int(hit[i])
-        if pivot_row != rank:
-            a[[rank, pivot_row], col:] = a[[pivot_row, rank], col:]
-            if order is not None:
-                order[rank], order[pivot_row] = order[pivot_row], order[rank]
-        row = a[rank, col:]
-        inv = pow(int(column[rank]), -1, p)
-        if inv != 1:
-            row *= inv
-            row %= p
-        if hit.size > 1:
-            if 4 * hit.size <= n_rows:
-                # hit predates the swap: pivot_row is the pivot row itself
-                # or now holds the old row `rank`, whose multiplier is zero
-                hit = hit[hit != pivot_row]
-                a[hit, col:] = (a[hit, col:] - column[hit, None] * row) % p
-            else:
-                update = column[:, None] * row
-                update[rank] = 0
-                block = a[:, col:]
-                block -= update
-                block %= p
-        pivots.append(col)
-        rank += 1
-    return pivots
-
-
-def _eliminate_blocked(a: np.ndarray, spec: FieldSpec) -> list[int]:
-    """_eliminate by column panels of width _PANEL (Dumas, Giorgi, Pernet,
-    ACM TOMS 2008; Jeannerod, Pernet, Storjohann, J. Symb. Comput. 2013).
-
-    The base case reduces the panel of the rows at or below the rank and
-    finds its q pivots and the rows P they came from. With U = a[P, pivot
-    columns], U^-1 @ a[P, c0:] are the new pivot rows, reduced in the panel
-    and zero left of it. Every other row with a nonzero entry in the pivot
-    columns, earlier pivot rows included, then gets one update
-    a[hit, c0:] -= a[hit, pivot columns] @ top, which clears those columns
-    and, since the panel of the rows below has rank q, their whole panel.
-    So each panel leaves a in RREF up to c0 + _PANEL, and the result is the
-    same unique RREF the base case reaches alone.
-    """
-    p = spec.p
-    n_rows, n_cols = a.shape
-    pivots: list[int] = []
-    rank = 0
-    for c0 in range(0, n_cols, _PANEL):
-        if rank == n_rows:
-            break
-        panel = a[rank:, c0 : c0 + _PANEL].copy()
-        order = list(range(panel.shape[0]))
-        cols = [c0 + j for j in _eliminate(panel, p, order)]
-        q = len(cols)
-        if q == 0:
-            continue
-        order = np.array(order)
-        moved = np.flatnonzero(order != np.arange(order.size))
-        a[rank + moved] = a[rank + order[moved]]
-        top = Matrix._adopt(spec, a[rank : rank + q][:, cols]).invert() @ Matrix._adopt(
-            spec, a[rank : rank + q, c0:].copy()
-        )
-        a[rank : rank + q, c0:] = top._a
-        multipliers = a[:, cols]
-        multipliers[rank : rank + q] = 0
-        # rows that are already zero in the pivot columns need no update;
-        # on sparse inputs they are most rows
-        hit = np.flatnonzero(multipliers.any(axis=1))
-        if hit.size:
-            update = Matrix._adopt(spec, multipliers[hit]) @ top
-            a[hit, c0:] = (a[hit, c0:] - update._a) % p
-        pivots.extend(cols)
-        rank += q
-    return pivots
 
 
 _JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
@@ -324,7 +206,8 @@ class Matrix:
             raise ShapeMismatch(f"matmul {self.shape} @ {other.shape}")
         p = self.spec.p
         inner = self.cols
-        step = _safe_terms(p)
+        # Largest run of products that cannot overflow when summed.
+        step = max(1, (2**62) // ((p - 1) ** 2 + 1))
         if self.rows * inner * other.cols >= 4096 and inner * (p - 1) ** 2 < 2**24:
             # float32 as an exact integer carrier (Dumas, Giorgi, Pernet,
             # ACM TOMS 2008). Entries are residues in [0, p), so each product
@@ -359,14 +242,51 @@ class Matrix:
         Returns (reduced matrix, rank, pivot column indices). The pivot in
         each step is the first nonzero entry in column order, so equal row
         spaces always produce identical reduced matrices.
+
+        Every row at or below the current rank is zero left of the current
+        column, so a pivot step touches only the columns from it on. When at
+        most a quarter of the rows have a nonzero multiplier it updates only
+        those rows, otherwise all of them in place: on the benchmark's rref
+        inputs 1/8 to 1/2 time the same, and updating only the hit rows at
+        every step made repair's many small matrices about 15% slower.
         """
+        p = self.spec.p
         a = self._a.copy()
-        rows, cols = a.shape
-        if rows >= _BLOCK_ROWS and cols >= _BLOCK_COLS and _safe_terms(self.spec.p) >= _PANEL:
-            pivots = _eliminate_blocked(a, self.spec)
-        else:
-            pivots = _eliminate(a, self.spec.p)
-        return Matrix._adopt(self.spec, a), len(pivots), tuple(pivots)
+        n_rows, n_cols = a.shape
+        pivots: list[int] = []
+        rank = 0
+        for col in range(n_cols):
+            if rank == n_rows:
+                break
+            column = a[:, col]
+            hit = column.nonzero()[0]
+            i = int(hit.searchsorted(rank))
+            if i == hit.size:
+                continue
+            pivot_row = int(hit[i])
+            if pivot_row != rank:
+                a[[rank, pivot_row], col:] = a[[pivot_row, rank], col:]
+            row = a[rank, col:]
+            inv = pow(int(column[rank]), -1, p)
+            if inv != 1:
+                row *= inv
+                row %= p
+            if hit.size > 1:
+                if 4 * hit.size <= n_rows:
+                    # hit predates the swap: pivot_row is the pivot row
+                    # itself or now holds the old row `rank`, whose
+                    # multiplier is zero
+                    hit = hit[hit != pivot_row]
+                    a[hit, col:] = (a[hit, col:] - column[hit, None] * row) % p
+                else:
+                    update = column[:, None] * row
+                    update[rank] = 0
+                    block = a[:, col:]
+                    block -= update
+                    block %= p
+            pivots.append(col)
+            rank += 1
+        return Matrix._adopt(self.spec, a), rank, tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
