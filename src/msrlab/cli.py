@@ -75,8 +75,28 @@ def _fail(report: dict) -> int:
     return 1
 
 
-def _load_family(path: str) -> MsrSubspaceFamily:
-    return MsrSubspaceFamily.from_json_dict(_load_json(path))
+def _check_ceiling(ell: int, ceiling: int) -> None:
+    """Refuse a loaded family or code whose ell exceeds --ceiling before any
+    work on it, as construct and sweep refuse to build one."""
+    if ell > ceiling:
+        raise CeilingExceeded(f"ell = {ell} exceeds ceiling {ceiling}")
+
+
+def _replay(args: argparse.Namespace, command: str) -> str:
+    """The command line that repeats a failing run on a loaded file."""
+    return command + (f" --ceiling {args.ceiling}" if args.ceiling != DEFAULT_CEILING else "")
+
+
+def _load_family(args: argparse.Namespace) -> MsrSubspaceFamily:
+    family = MsrSubspaceFamily.from_json_dict(_load_json(args.infile))
+    _check_ceiling(family.ell, args.ceiling)
+    return family
+
+
+def _load_code_and_scheme(args: argparse.Namespace):
+    code = VectorCodeSystematic.from_json_dict(_load_json(args.code))
+    _check_ceiling(code.ell, args.ceiling)
+    return code, scheme_from_json_dict(_load_json(args.scheme))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -136,7 +156,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    family = _load_family(args.infile)
+    family = _load_family(args)
     report = family.verify()
     for line in report.summary_lines():
         print(line)
@@ -147,13 +167,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "failure": "verify",
             "report": report.to_json_dict(),
             "family": family.to_json_dict(),
-            "replay": f"msrlab verify --in {args.infile}",
+            "replay": _replay(args, f"msrlab verify --in {args.infile}"),
         }
     )
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    family = _load_family(args.infile)
+    family = _load_family(args)
     report = family.bound_check()
     print(f"k = {report.k}, ell = {report.ell}, r = {report.r}")
     print(f"4 * r * ln(ell) ~= {report.bound_approx:.6f}")
@@ -165,13 +185,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
             "failure": "bound",
             "report": report.to_json_dict(),
             "family": family.to_json_dict(),
-            "replay": f"msrlab bound --in {args.infile}",
+            "replay": _replay(args, f"msrlab bound --in {args.infile}"),
         }
     )
 
 
 def cmd_decay(args: argparse.Namespace) -> int:
-    family = _load_family(args.infile)
+    family = _load_family(args)
     if args.order == "identity":
         order = None
     elif args.order.startswith("random:"):
@@ -269,8 +289,7 @@ def cmd_evenodd(args: argparse.Namespace) -> int:
 
 
 def cmd_repair_check(args: argparse.Namespace) -> int:
-    code = VectorCodeSystematic.from_json_dict(_load_json(args.code))
-    scheme = scheme_from_json_dict(_load_json(args.scheme))
+    code, scheme = _load_code_and_scheme(args)
     nodes = range(code.k) if args.node is None else (args.node,)
     reports = [check_msr_scheme(code, scheme, m) for m in nodes]
     for report in reports:
@@ -288,14 +307,15 @@ def cmd_repair_check(args: argparse.Namespace) -> int:
             "reports": [report.to_json_dict() for report in reports],
             "code": code.to_json_dict(),
             "scheme": scheme.to_json_dict(),
-            "replay": f"msrlab repair-check --code {args.code} --scheme {args.scheme}",
+            "replay": _replay(
+                args, f"msrlab repair-check --code {args.code} --scheme {args.scheme}"
+            ),
         }
     )
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    code = VectorCodeSystematic.from_json_dict(_load_json(args.code))
-    scheme = scheme_from_json_dict(_load_json(args.scheme))
+    code, scheme = _load_code_and_scheme(args)
     family = extract_family(code, scheme)
     report = family.verify()
     for line in report.summary_lines():
@@ -310,7 +330,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             "failure": "extract",
             "report": report.to_json_dict(),
             "family": family.to_json_dict(),
-            "replay": f"msrlab extract --code {args.code} --scheme {args.scheme}",
+            "replay": _replay(args, f"msrlab extract --code {args.code} --scheme {args.scheme}"),
         }
     )
 
@@ -483,6 +503,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # parser wiring
 
+def _add_ceiling(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
+                   help=f"largest allowed ell (default {DEFAULT_CEILING})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msrlab", description="exact-arithmetic lab for MSR subspace families"
@@ -495,17 +520,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True, help="field modulus (odd prime)")
     p.add_argument("--lambda", type=int, default=2, dest="lam",
                    help="eigenvalue scalar, not 0 or 1 mod p (default 2)")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
-                   help=f"largest allowed ell (default {DEFAULT_CEILING})")
+    _add_ceiling(p)
     p.add_argument("--out", required=True, help="output family JSON path")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check the two defining properties of a family")
     p.add_argument("--in", dest="infile", required=True, help="family JSON path")
+    _add_ceiling(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bound", help="check k <= 4 r ln(ell) with certified arithmetic")
     p.add_argument("--in", dest="infile", required=True, help="family JSON path")
+    _add_ceiling(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("decay", help="trace invariant dimension decay to CSV")
@@ -513,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default="identity",
                    help="member order: 'identity' or 'random:<seed>'")
     p.add_argument("--out", default=None, help="CSV path (default: print table)")
+    _add_ceiling(p)
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("sweep", help="tabulate construction size against the bound")
@@ -520,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-list", default="1,2,3,4", help="comma-separated m values")
     p.add_argument("--p", type=int, default=3, help="field modulus (default 3)")
     p.add_argument("--lambda", type=int, default=2, dest="lam")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    _add_ceiling(p)
     p.add_argument("--out", default=None, help="CSV path (default: print table)")
     p.set_defaults(func=cmd_sweep)
 
@@ -532,12 +559,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True, help="code JSON path")
     p.add_argument("--scheme", required=True, help="scheme JSON path")
     p.add_argument("--node", type=int, default=None, help="check one node only")
+    _add_ceiling(p)
     p.set_defaults(func=cmd_repair_check)
 
     p = sub.add_parser("extract", help="extract the subspace family behind a constant scheme")
     p.add_argument("--code", required=True, help="code JSON path")
     p.add_argument("--scheme", required=True, help="constant scheme JSON path")
     p.add_argument("--out", default=None, help="family JSON output path")
+    _add_ceiling(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("cutset", help="print the repair bandwidth lower bound")

@@ -6,7 +6,9 @@ at least 4096 multiply-adds whose dot products stay below 2**24
 integers exactly. Every other product runs in int64, the fallback and the
 reference: the modulus is capped at 2**31 - 1, so any product of two
 residues fits in an int64, and dot products are accumulated in blocks small
-enough that no intermediate ever reaches 2**63. Row reduction always picks
+enough that no intermediate ever reaches 2**63. When a whole product is
+too large for one block, the right factor is split into 16-bit limbs so
+that every block still sums at least 2**15 terms. Row reduction always picks
 the first nonzero entry in column order, so the reduced form of a given row
 space is unique and matrices can be compared entry by entry.
 
@@ -222,10 +224,18 @@ class Matrix:
             prod = self._a @ other._a
             prod %= p
         else:
+            # other = hi * 2**16 + lo with 16-bit limbs: a term of a limb
+            # product is below (p-1) * 2**16 <= 2**47, so each chunk sums at
+            # least 2**15 terms, where a whole product may take just one
+            step = 2**62 // ((p - 1) * 2**16)
             prod = np.zeros((self.rows, other.cols), dtype=np.int64)
-            for start in range(0, inner, step):
-                stop = start + step
-                prod = (prod + self._a[:, start:stop] @ other._a[start:stop] % p) % p
+            for limb in (other._a >> 16, other._a & 0xFFFF):
+                prod <<= 16
+                for start in range(0, inner, step):
+                    part = self._a[:, start : start + step] @ limb[start : start + step]
+                    part %= p
+                    prod += part
+                prod %= p
         return Matrix._adopt(self.spec, prod)
 
     def transpose(self) -> Matrix:

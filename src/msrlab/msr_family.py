@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import BadLambda, BadParams, FieldTooSmall, StructuralError
 from .field import FieldElement, FieldSpec
@@ -317,8 +317,19 @@ def compare_to_log_multiple(value, coeff: Fraction, ell: int) -> int:
 # ----------------------------------------------------------------------
 # tensor-power construction
 
+def tensor_family_size(r: int, m: int, spec: FieldSpec) -> int:
+    """The (r+1)*m members of construct_tensor_family(r, m, spec), after
+    the checks on r, m and p that it makes first; nothing is built."""
+    if r < 2 or m < 1:
+        raise BadParams(f"need r >= 2 and m >= 1, got r={r}, m={m}")
+    if spec.p <= 2:
+        raise FieldTooSmall(f"construction needs p > 2, got {spec!r}")
+    return (r + 1) * m
+
+
 def construct_tensor_family(
-    r: int, m: int, spec: FieldSpec, scaling: int | FieldElement = 2
+    r: int, m: int, spec: FieldSpec, scaling: int | FieldElement = 2, *,
+    members: Sequence[int] | None = None,
 ) -> MsrSubspaceFamily:
     """Family with ell = r**m and (r+1)*m members over GF(p), p > 2.
 
@@ -330,11 +341,13 @@ def construct_tensor_family(
     tensor basis built from indices other than i, exactly those tensors
     whose slot entry equals i+t mod r+1 by the constant `scaling`, and leave
     the rest alone. Members are ordered slot-major: index = slot*(r+1) + i.
+
+    members, if given, lists distinct member indices in range((r+1)*m); only
+    those members are built, in that order, and the family holds exactly the
+    subspaces and maps the full family has at those indices. A repeated or
+    out-of-range index raises BadParams.
     """
-    if r < 2 or m < 1:
-        raise BadParams(f"need r >= 2 and m >= 1, got r={r}, m={m}")
-    if spec.p <= 2:
-        raise FieldTooSmall(f"construction needs p > 2, got {spec!r}")
+    size = tensor_family_size(r, m, spec)
     if isinstance(scaling, FieldElement):
         if scaling.spec != spec:
             raise BadLambda(f"scaling over {scaling.spec!r}, family over {spec!r}")
@@ -343,6 +356,9 @@ def construct_tensor_family(
         lam = int(scaling) % spec.p
     if lam in (0, 1):
         raise BadLambda(f"scaling must avoid {{0, 1}}, got {lam} in {spec!r}")
+    members = range(size) if members is None else tuple(members)
+    if len(set(members)) != len(members) or not all(0 <= c < size for c in members):
+        raise BadParams(f"members must be distinct indices in range({size}), got {list(members)}")
 
     ell = r**m
     vectors = Matrix.identity(spec, r).to_lists() + [[-1] * r]  # e_0..e_{r-1}, v_r
@@ -358,8 +374,8 @@ def construct_tensor_family(
     # is s is the map B^-1 D B, D diagonal; by the mixed-product property it
     # is V_i^-1 D_s V_i at that slot (D_s the r x r diagonal part) and the
     # identity at every other slot.
-    factors = []
-    for i in range(r + 1):
+    factors = {}
+    for i in sorted({c % (r + 1) for c in members}):
         allowed = [idx for idx in range(r + 1) if idx != i]
         inverse = Matrix(spec, [vectors[idx] for idx in allowed]).invert()
         member_factors = []
@@ -368,14 +384,13 @@ def construct_tensor_family(
             rows = [[lam * v for v in vectors[idx]] if idx == scaled else vectors[idx]
                     for idx in allowed]
             member_factors.append(inverse @ Matrix(spec, rows))
-        factors.append(member_factors)
+        factors[i] = member_factors
 
     subspaces = []
     maps = []
-    for slot in range(m):
-        for i in range(r + 1):
-            pinned = at_slot(slot, Matrix.row_vector(spec, vectors[i]))
-            subspaces.append(Subspace.span_of(pinned))
-            maps.append([at_slot(slot, factor) for factor in factors[i]])
+    for slot, i in (divmod(c, r + 1) for c in members):
+        pinned = at_slot(slot, Matrix.row_vector(spec, vectors[i]))
+        subspaces.append(Subspace.span_of(pinned))
+        maps.append([at_slot(slot, factor) for factor in factors[i]])
 
     return MsrSubspaceFamily(ell, r, spec, subspaces, maps)

@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Sequence
 
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .field import FieldSpec
 from .matrix import Matrix, loaded
-from .msr_family import MsrSubspaceFamily, construct_tensor_family
+from .msr_family import MsrSubspaceFamily, construct_tensor_family, tensor_family_size
 from .subspace import Subspace, is_direct_sum_full  # noqa: F401 (msrbench traces this binding)
 
 
@@ -128,6 +129,7 @@ class ConstantRepairScheme:
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
+        object.__setattr__(self, "_solutions", {})  # (code, node) -> _node_solution
         if not self.matrices:
             raise SchemeInvalid("scheme with no repair matrices")
         for m, mat in enumerate(self.matrices):
@@ -155,6 +157,7 @@ class GeneralRepairScheme:
         object.__setattr__(
             self, "matrices", tuple(tuple(row) for row in self.matrices)
         )
+        object.__setattr__(self, "_solutions", {})  # (code, node) -> _node_solution
         if not self.matrices or not self.matrices[0]:
             raise SchemeInvalid("scheme with no repair matrices")
         width = len(self.matrices[0])
@@ -243,10 +246,15 @@ def _node_solution(code: VectorCodeSystematic, scheme, m: int):
     """The report check_msr_scheme gives for node m, the inverse of node m's
     stacked shares S_{i,m} C[i][m], and for every other node m' the X with
     X @ S_{0,m} C[0][m'] = its stacked shares. None marks an inverse or X
-    that does not exist, that is, a failed condition."""
+    that does not exist, that is, a failed condition.
+
+    Code and scheme are both immutable, so the triple is solved once per
+    (code, node) and kept on the scheme; later calls eliminate nothing."""
     _validate_scheme(code, scheme)
     if not 0 <= m < code.k:
         raise IndexOutOfRange(f"node {m} outside range({code.k})")
+    if (code, m) in scheme._solutions:
+        return scheme._solutions[code, m]
     solved = {}
     for node in range(code.k):
         shares = Matrix.vstack(
@@ -261,7 +269,9 @@ def _node_solution(code: VectorCodeSystematic, scheme, m: int):
             solved[node] = None
     inverse = solved.pop(m)
     interference = tuple((other, factor is not None) for other, factor in solved.items())
-    return SchemeReport(m, inverse is not None, interference), inverse, solved
+    report = SchemeReport(m, inverse is not None, interference)
+    scheme._solutions[code, m] = report, inverse, MappingProxyType(solved)
+    return scheme._solutions[code, m]
 
 
 def check_msr_scheme(code: VectorCodeSystematic, scheme, m: int) -> SchemeReport:
@@ -479,17 +489,16 @@ def random_constant_instance(
     m_power = round(math.log(ell, r)) if ell > 1 else 0
     if r**m_power != ell or m_power < 1:
         raise BadParams(f"ell = {ell} is not a positive power of r = {r}")
-    base = construct_tensor_family(r, m_power, spec)
-    if base.k < k:
-        raise BadParams(f"tensor family only provides {base.k} members, need {k}")
-    chosen = sorted(rng.sample(range(base.k), k))
+    size = tensor_family_size(r, m_power, spec)
+    if size < k:
+        raise BadParams(f"tensor family only provides {size} members, need {k}")
+    chosen = sorted(rng.sample(range(size), k))
+    base = construct_tensor_family(r, m_power, spec, members=chosen)
 
     conjugator = _random_invertible(spec, ell, rng)
     conjugator_inverse = conjugator.invert()
-    subspaces = [base.subspaces[c].apply_map(conjugator) for c in chosen]
-    maps = [
-        [conjugator_inverse @ phi @ conjugator for phi in base.maps[c]] for c in chosen
-    ]
+    subspaces = [sub.apply_map(conjugator) for sub in base.subspaces]
+    maps = [[conjugator_inverse @ phi @ conjugator for phi in row] for row in base.maps]
 
     repair_rows = []
     parity_columns = []

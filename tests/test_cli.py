@@ -349,6 +349,47 @@ def test_ceiling_refuses_huge_powers_at_once(argv, tmp_path, monkeypatch, capsys
     assert not (tmp_path / "unused.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "bound", "decay"])
+def test_loaded_family_above_the_ceiling_is_refused(command, tmp_path, capsys):
+    path = tmp_path / "f8.json"
+    assert main(["construct", "--r", "2", "--m", "3", "--p", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, command, "--in", str(path), "--ceiling", "4")
+    assert (code, out, err) == (2, "", "error: ell = 8 exceeds ceiling 4\n")
+    code, _, _ = run(capsys, command, "--in", str(path), "--ceiling", "8")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["repair-check", "extract"])
+def test_loaded_code_above_the_ceiling_is_refused(command, tmp_path, capsys):
+    code, scheme = random_constant_instance(5, 3, 4, random.Random(5))
+    code_path = tmp_path / "code.json"
+    scheme_path = tmp_path / "scheme.json"
+    code_path.write_text(json.dumps(code.to_json_dict()))
+    scheme_path.write_text(json.dumps(scheme.to_json_dict()))
+    argv = (command, "--code", str(code_path), "--scheme", str(scheme_path))
+    status, out, err = run(capsys, *argv, "--ceiling", "2")
+    assert (status, out, err) == (2, "", "error: ell = 4 exceeds ceiling 2\n")
+    status, _, _ = run(capsys, *argv, "--ceiling", "4")
+    assert status == 0
+
+
+def test_replay_keeps_a_non_default_ceiling(tmp_path, capsys):
+    code, scheme = random_constant_instance(5, 3, 4, random.Random(5))
+    broken = ConstantRepairScheme((scheme.matrices[0], scheme.matrices[0], scheme.matrices[2]))
+    code_path = tmp_path / "code.json"
+    scheme_path = tmp_path / "scheme.json"
+    code_path.write_text(json.dumps(code.to_json_dict()))
+    scheme_path.write_text(json.dumps(broken.to_json_dict()))
+    replay = f"msrlab repair-check --code {code_path} --scheme {scheme_path}"
+    for extra, expected in (((), replay), (("--ceiling", "81"), replay),
+                            (("--ceiling", "16"), replay + " --ceiling 16")):
+        status, out, _ = run(capsys, "repair-check", "--code", str(code_path),
+                             "--scheme", str(scheme_path), *extra)
+        assert status == 1
+        assert json.loads(out[out.index("{") :])["replay"] == expected
+
+
 def test_ceiling_decision_matches_the_power():
     for r in range(-3, 5):
         for m in range(-1, 7):

@@ -141,6 +141,14 @@ def test_matmul_never_overflows():
     assert (a @ b).to_lists() == python_matmul(a.to_lists(), b.to_lists(), p)
     worst = Matrix(BIG, [[p - 1] * 50])
     assert (worst @ worst.transpose()).to_lists() == [[(50 * (p - 1) ** 2) % p]]
+    # inner 70,000 > 2**16: each 16-bit limb product runs in three chunks of
+    # at most 2**15 terms, and unreduced chunks or chunks four times as long
+    # would overflow on the all-(p-1) operands
+    a = random_matrix(BIG, 1, 70_000, rng)
+    b = random_matrix(BIG, 70_000, 1, rng)
+    assert (a @ b).to_lists() == python_matmul(a.to_lists(), b.to_lists(), p)
+    worst = Matrix(BIG, [[p - 1] * 70_000])
+    assert (worst @ worst.transpose()).to_lists() == [[(70_000 * (p - 1) ** 2) % p]]
 
 
 PRODUCT_PRIMES = (3, 11, 257, 2**31 - 1)

@@ -158,6 +158,28 @@ def test_construction_rejects_bad_params():
         construct_tensor_family(2, 2, GF3, GF5.element(2))  # wrong field
 
 
+def test_construction_builds_only_the_chosen_members():
+    for r, m, spec, lam in ((2, 2, GF3, 2), (3, 2, GF5, 3), (2, 3, FieldSpec(7), 2)):
+        full = construct_tensor_family(r, m, spec, lam)
+        for idx in ([], [0], [full.k - 1, 0, r + 1], list(range(full.k))[::-1]):
+            part = construct_tensor_family(r, m, spec, lam, members=idx)
+            assert (part.ell, part.r, part.spec) == (full.ell, full.r, full.spec)
+            assert part.subspaces == tuple(full.subspaces[c] for c in idx)
+            assert part.maps == tuple(full.maps[c] for c in idx)
+    assert construct_tensor_family(2, 2, GF3, members=range(6)) == construct_tensor_family(2, 2, GF3)
+
+
+def test_construction_rejects_bad_members():
+    for idx in ([6], [-1], [0, 0], [1, 2, 1]):
+        with pytest.raises(BadParams, match=r"distinct indices in range\(6\)"):
+            construct_tensor_family(2, 2, GF3, members=idx)
+    # the parameter checks come first
+    with pytest.raises(FieldTooSmall):
+        construct_tensor_family(2, 2, FieldSpec(2), members=[0, 0])
+    with pytest.raises(BadLambda):
+        construct_tensor_family(2, 2, GF3, 1, members=[6])
+
+
 def test_json_round_trip():
     family = construct_tensor_family(2, 2, GF3, 2)
     clone = MsrSubspaceFamily.from_json_dict(family.to_json_dict())

@@ -11,6 +11,7 @@ import pytest
 
 from msrlab.errors import (
     BadParams,
+    FieldTooSmall,
     IndexOutOfRange,
     SchemeInvalid,
     ShapeMismatch,
@@ -331,3 +332,17 @@ def test_random_constant_instance_validation():
         random_constant_instance(4, 2, 3, rng)  # ell not a power of r
     with pytest.raises(BadParams):
         random_constant_instance(3, 2, 2, rng)  # r = 1
+
+
+def test_random_constant_instance_errors_draw_nothing():
+    # (9, 7) at ell = 2 needs 7 members of a 3-member family; over GF(2) the
+    # field is refused before the count, and neither error draws from rng
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(FieldTooSmall):
+        random_constant_instance(9, 7, 2, rng, FieldSpec(2))
+    with pytest.raises(FieldTooSmall):
+        random_constant_instance(4, 2, 2, rng, FieldSpec(2))
+    with pytest.raises(BadParams, match="only provides 3 members, need 7"):
+        random_constant_instance(9, 7, 2, rng)
+    assert rng.getstate() == state

@@ -11,13 +11,15 @@ and one solve per (parity unit, helper).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrlab.errors import SchemeInvalid
+from msrlab.errors import IndexOutOfRange, SchemeInvalid
 from msrlab.field import FieldSpec
 from msrlab.matrix import Matrix
 from msrlab.repair import (
@@ -30,6 +32,7 @@ from msrlab.repair import (
     as_block,
     check_msr_scheme,
     cutset_bound,
+    extract_family,
     random_constant_instance,
     repair_node,
 )
@@ -250,17 +253,25 @@ def test_rank_deficient_repair_matrices_are_refused_when_built():
         ConstantRepairScheme((Matrix.zeros(spec, 1, 4),))
 
 
-def test_full_check_ranks_no_repair_matrix(monkeypatch):
-    n, k, ell = 6, 4, 16
-    code, scheme = random_constant_instance(n, k, ell, random.Random(1))
+def counted_rref(monkeypatch) -> list:
+    """Every matrix Matrix.rref is called on from now on, in call order."""
     eliminated = []
     real = Matrix.rref
     monkeypatch.setattr(Matrix, "rref", lambda self: eliminated.append(self) or real(self))
-    reports = [check_msr_scheme(code, scheme, m) for m in range(k)]
+    return eliminated
+
+
+def test_full_check_ranks_no_repair_matrix(monkeypatch):
+    n, k, ell = 6, 4, 16
+    code, scheme = random_constant_instance(n, k, ell, random.Random(1))
+    # the instance's own check already solved every node of `scheme`
+    fresh = ConstantRepairScheme(scheme.matrices)
+    eliminated = counted_rref(monkeypatch)
+    reports = [check_msr_scheme(code, fresh, m) for m in range(k)]
     assert all(report.ok for report in reports)
     # per node: one inverse of its own stacked shares, one solve per other node
     assert len(eliminated) == k * k == 16
-    assert not any(mat is repair for mat in eliminated for repair in scheme.matrices)
+    assert not any(mat is repair for mat in eliminated for repair in fresh.matrices)
 
 
 def test_repair_node_eliminates_once_per_question(monkeypatch):
@@ -268,9 +279,64 @@ def test_repair_node_eliminates_once_per_question(monkeypatch):
     rng = random.Random(1)
     code, scheme = random_constant_instance(n, k, ell, rng)
     blocks = code.encode([[rng.randrange(3) for _ in range(ell)] for _ in range(k)])
-    eliminated = []
-    real = Matrix.rref
-    monkeypatch.setattr(Matrix, "rref", lambda self: eliminated.append(self) or real(self))
-    assert repair_node(code, scheme, 2, blocks).block == blocks[2]
+    fresh = ConstantRepairScheme(scheme.matrices)
+    eliminated = counted_rref(monkeypatch)
+    assert repair_node(code, fresh, 2, blocks).block == blocks[2]
     # one inverse of node 2's stacked shares, one solve per other node, no re-check
     assert len(eliminated) == k == 4
+
+
+def test_each_node_is_solved_once_per_code_and_scheme(monkeypatch):
+    n, k, ell = 6, 4, 16
+    rng = random.Random(3)
+    code, scheme = random_constant_instance(n, k, ell, rng)
+    blocks = code.encode([[rng.randrange(3) for _ in range(ell)] for _ in range(k)])
+    reports = [check_msr_scheme(code, scheme, m) for m in range(k)]
+    results = [repair_node(code, scheme, m, blocks) for m in range(k)]
+    twin_code = VectorCodeSystematic(code.n, code.k, code.ell, code.spec, code.parity)
+    twin_scheme = ConstantRepairScheme(scheme.matrices)
+    eliminated = counted_rref(monkeypatch)
+
+    # a second check, repair or extraction on the same pair solves nothing again
+    assert [check_msr_scheme(code, scheme, m) for m in range(k)] == reports
+    assert [repair_node(code, scheme, m, blocks) for m in range(k)] == results
+    assert eliminated == []
+    unchecked = extract_family(code, scheme, check_scheme=False)
+    building = len(eliminated)  # the member spans and the C[0][m] inverses
+    assert extract_family(code, scheme) == unchecked
+    assert len(eliminated) == 2 * building
+
+    # an equal but distinct code or scheme is solved afresh, to the same report
+    for pair in ((twin_code, scheme), (code, twin_scheme)):
+        eliminated.clear()
+        assert check_msr_scheme(*pair, 1) == reports[1]
+        assert len(eliminated) == k
+
+    # kept solutions change no error: a bad node index and a failing node still raise
+    for bad in (-1, k):
+        with pytest.raises(IndexOutOfRange):
+            check_msr_scheme(code, scheme, bad)
+    broken = with_parity(code, 1, 2, random_invertible(code.spec, ell, rng))
+    for _ in range(2):
+        assert not check_msr_scheme(broken, scheme, 0).ok
+        with pytest.raises(SchemeInvalid, match="scheme fails at node 0"):
+            repair_node(broken, scheme, 0, blocks)
+
+
+# ---------------------------------------------------------------- seeded instances
+
+# sha256 of json.dumps([code, scheme, rng.random() after the call]) over the
+# benchmark's repair shapes and seeds 0..19, recorded while every instance
+# was still drawn from a fully built tensor family
+SEEDED_INSTANCES_SHA256 = "ccdd5650b98824156e86e43a208aff34873ab5fc639ad5f82b6a97d3f84f49d8"
+
+
+def test_seeded_instances_are_pinned():
+    digest = hashlib.sha256()
+    for n, k, ell in WORKLOAD_SHAPES:
+        for seed in range(20):
+            rng = random.Random(seed)
+            code, scheme = random_constant_instance(n, k, ell, rng)
+            payload = [code.to_json_dict(), scheme.to_json_dict(), rng.random()]
+            digest.update(json.dumps(payload).encode())
+    assert digest.hexdigest() == SEEDED_INSTANCES_SHA256
