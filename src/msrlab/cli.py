@@ -13,6 +13,7 @@ and 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -582,10 +583,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing does not change it, and building it
+    costs about as much as a small command."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

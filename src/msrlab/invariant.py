@@ -72,12 +72,14 @@ def _restrict(maps: Matrix | None, constraint: MapConstraint) -> Matrix | None:
     and it stays None while every constraint is trivial. Otherwise its rows
     are independent vectorized maps psi_s. A combination
     sum_s c_s psi_s satisfies (A, B) exactly when sum_s c_s A psi_s N^T = 0,
-    with N the annihilator basis of B. So the c form the left kernel C of the
-    d x (dim A * codim B) matrix whose row s is A psi_s N^T, and the result is
-    C @ maps, whose rows are again independent because C's and maps' are.
+    with N any basis of B's annihilator. So the c form the left kernel C of
+    the d x (dim A * codim B) matrix whose row s is A psi_s N^T, and the
+    result is C @ maps, whose rows are again independent because C's and
+    maps' are. The equations' row space, and so C, is the same for every
+    choice of N, so N is read off B's canonical basis without an elimination.
     """
     source = constraint.source.basis
-    annihilator = constraint.target.annihilator().basis
+    annihilator = constraint.target.annihilator_basis()
     if source.rows == 0 or annihilator.rows == 0:
         return maps
     if maps is None:
@@ -89,7 +91,7 @@ def _restrict(maps: Matrix | None, constraint: MapConstraint) -> Matrix | None:
         return maps
     ell, a, c = source.cols, source.rows, annihilator.rows
     # Each stage rebinds `work`, so no earlier stage stays alive through the
-    # kernel and the final product, where memory peaks at ell = 81.
+    # elimination and the final product, where memory peaks at ell = 81.
     # psi_s N^T for every s: the rows of all maps stacked, one product
     work = (Matrix._adopt(spec, maps._a.reshape(d * ell, ell)) @ annihilator.transpose())._a
     # A psi_s N^T for every s: the same rows regrouped as columns (s, n)
@@ -97,7 +99,19 @@ def _restrict(maps: Matrix | None, constraint: MapConstraint) -> Matrix | None:
     work = (source @ Matrix._adopt(spec, work))._a
     # one equation row per (a, n) pair, one column per map psi_s
     work = work.reshape(a, d, c).transpose(0, 2, 1).reshape(a * c, d)
-    return Matrix._adopt(spec, work).kernel() @ maps
+    reduced, rank, pivots = Matrix._adopt(spec, work).rref()
+    # C is 1 at its free columns and minus the reduced rows at its pivots,
+    # so C @ maps = maps[free] - R[:, free]^T @ maps[pivots], and C is never
+    # built. The product comes before the copy of maps[free], so that copy
+    # never lives alongside the equations or the product's inputs.
+    free = reduced._free_columns(pivots)
+    work = -reduced._a[:rank, free].T % spec.p
+    del reduced
+    work = (Matrix._adopt(spec, work) @ Matrix._adopt(spec, maps._a[list(pivots)]))._a
+    result = maps._a[free]
+    result += work
+    result %= spec.p
+    return Matrix._adopt(spec, result)
 
 
 def _dim(maps: Matrix | None, ambient: int) -> int:

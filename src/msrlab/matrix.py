@@ -54,7 +54,8 @@ class Matrix:
     __slots__ = ("spec", "_a")
 
     def __init__(self, spec: FieldSpec, rows: Sequence[Sequence]):
-        data = [[_coerce_entry(v, spec) for v in row] for row in rows]
+        p = spec.p
+        data = [[v % p if type(v) is int else _coerce_entry(v, spec) for v in row] for row in rows]
         if not data:
             raise ShapeMismatch("cannot infer a width from zero rows; use Matrix.zeros")
         width = len(data[0])
@@ -304,12 +305,24 @@ class Matrix:
     def kernel(self) -> Matrix:
         """Basis of the right null space {x : self @ x = 0}, one solution
         per row. Row count is cols - rank."""
-        p = self.spec.p
         reduced, rank, pivots = self.rref()
-        free = np.setdiff1d(np.arange(self.cols), pivots)
+        return reduced._kernel_of_reduced(rank, pivots)
+
+    def _free_columns(self, pivots: Sequence[int]) -> np.ndarray:
+        """The column indices that are not pivots, in increasing order."""
+        free = np.ones(self.cols, dtype=bool)
+        free[list(pivots)] = False
+        return free.nonzero()[0]
+
+    def _kernel_of_reduced(self, rank: int, pivots: Sequence[int]) -> Matrix:
+        """kernel() of a matrix already in reduced row echelon form, with the
+        rank and pivots its rref returned, read off without an elimination:
+        one row per free column f, with 1 at f and minus column f of the
+        reduced rows at the pivots."""
+        free = self._free_columns(pivots)
         basis = np.zeros((free.size, self.cols), dtype=np.int64)
         basis[np.arange(free.size), free] = 1
-        basis[:, list(pivots)] = -reduced._a[:rank][:, free].T % p
+        basis[:, list(pivots)] = -self._a[:rank][:, free].T % self.spec.p
         return Matrix._adopt(self.spec, basis)
 
     def invert(self) -> Matrix:
@@ -371,10 +384,12 @@ class Matrix:
         lists of integers raises BadEntry, not the TypeError of Matrix(...)."""
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise BadEntry("matrix data must be a list of rows")
-        for row in data:
-            for value in row:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise BadEntry(f"matrix entries must be integers, got {value!r}")
+        if not all(type(v) is int for row in data for v in row):
+            # rerun the full check only to name the offending value
+            for row in data:
+                for value in row:
+                    if not isinstance(value, int) or isinstance(value, bool):
+                        raise BadEntry(f"matrix entries must be integers, got {value!r}")
         return cls(spec, data)
 
     def __repr__(self) -> str:

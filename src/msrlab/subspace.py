@@ -3,7 +3,8 @@
 Every subspace keeps its basis in reduced row echelon form with zero rows
 dropped, so two subspaces are equal exactly when their basis matrices are
 identical, and membership needs no elimination: a row x lies in the span
-exactly when x equals (x read at the pivot columns) @ basis. Intersections
+exactly when x equals (x read at the pivot columns) @ basis. Neither does an
+annihilator basis, which is read off the reduced basis. Intersections
 go through annihilators: the annihilator of a sum is the intersection of
 annihilators, and dualizing twice comes back to the start.
 """
@@ -32,7 +33,7 @@ class Subspace:
         reduced, rank, pivots = generators.rref()
         self.spec = spec
         self.ambient_dim = ambient_dim
-        self.basis = Matrix._wrap(spec, reduced._a[:rank])
+        self.basis = Matrix._adopt(spec, reduced._a[:rank].copy())
         self._pivots = pivots
 
     @classmethod
@@ -74,10 +75,15 @@ class Subspace:
 
     __add__ = sum
 
+    def annihilator_basis(self) -> Matrix:
+        """Independent rows spanning the annihilator, read off the canonical
+        basis without an elimination; they are not in reduced form."""
+        return self.basis._kernel_of_reduced(self.dim, self._pivots)
+
     def annihilator(self) -> Subspace:
         """All y with b . y = 0 for every basis row b, as a subspace of the
         same ambient space."""
-        return Subspace.span_of(self.basis.kernel())
+        return Subspace.span_of(self.annihilator_basis())
 
     def intersect(self, other: Subspace) -> Subspace:
         self._check_compatible(other)

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from msrlab import cli
 from msrlab.cli import _ell_within, main
 from msrlab.errors import CeilingExceeded
 from msrlab.msr_family import MsrSubspaceFamily
@@ -433,3 +434,25 @@ def test_zero_r_with_negative_m_is_an_input_error(tmp_path, capsys):
         assert code == 2
         assert err.startswith("error: need r >= 2 and m >= 1")
         assert "Traceback" not in out + err
+
+
+def test_one_parser_serves_every_call_without_leaking_options(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "fam16.json"
+    assert main(["construct", "--r", "2", "--m", "4", "--p", "3", "--out", str(path)]) == 0
+    assert cli._shared_parser() is cli._shared_parser()
+
+    def rebuilt():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, _, err = run(capsys, "decay", "--in", str(path), "--ceiling", "8")
+    assert code == 2 and "exceeds ceiling 8" in err
+    # the previous call's --ceiling does not stick to the parser
+    code, out, _ = run(capsys, "decay", "--in", str(path))
+    assert code == 0 and out.endswith("final dim 1\n")
+    code, out, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 0 and out.endswith("VERIFY PASS\n")
+    code, _, err = run(capsys, "decay")
+    assert code == 2 and "--in" in err
+    code, out, _ = run(capsys, "decay", "--in", str(path), "--order", "random:1")
+    assert code == 0 and "along order [" in out

@@ -458,3 +458,50 @@ def test_from_json_rows_rejects_non_integers():
             Matrix.from_json_dict({"rows": 1, "cols": 2, "p": 5, "data": data})
     with pytest.raises(TypeError):  # library callers keep the TypeError
         Matrix(GF5, [[1.0, 2]])
+
+
+GF7 = FieldSpec(7)
+
+# Matrix(GF7, data) and Matrix.from_json_rows(GF7, data) on odd inputs: the
+# entries of the result, or the exception type and message, as (init, json).
+_TYPE = "matrix entries must be ints or field elements, got "
+_JSON = "matrix entries must be integers, got "
+_ROWS = "matrix data must be a list of rows"
+ODD_INPUTS = [
+    ([[True, 1]], (TypeError, _TYPE + "bool"), (BadEntry, _JSON + "True")),
+    ([[False]], (TypeError, _TYPE + "bool"), (BadEntry, _JSON + "False")),
+    ([[1.0, 2]], (TypeError, _TYPE + "float"), (BadEntry, _JSON + "1.0")),
+    ([["3", 1]], (TypeError, _TYPE + "str"), (BadEntry, _JSON + "'3'")),
+    ([[None]], (TypeError, _TYPE + "NoneType"), (BadEntry, _JSON + "None")),
+    ([[{"a": 1}]], (TypeError, _TYPE + "dict"), (BadEntry, _JSON + "{'a': 1}")),
+    ([[[1], 2]], (TypeError, _TYPE + "list"), (BadEntry, _JSON + "[1]")),
+    ([[1, 2], [3]], (ShapeMismatch, "rows of unequal length"),
+     (ShapeMismatch, "rows of unequal length")),
+    ([], (ShapeMismatch, "cannot infer a width from zero rows; use Matrix.zeros"),
+     (ShapeMismatch, "cannot infer a width from zero rows; use Matrix.zeros")),
+    ([[]], [[]], [[]]),
+    ([[2**70, -(2**70)]], [[2, 5]], [[2, 5]]),
+    ([[-1, 8, 14]], [[6, 1, 0]], [[6, 1, 0]]),
+    ([[np.int64(9), np.int32(-3)]], [[2, 4]], (BadEntry, _JSON + "np.int64(9)")),
+    ([[np.uint8(200)]], [[4]], (BadEntry, _JSON + "np.uint8(200)")),
+    ([[GF7.element(3), 1]], [[3, 1]], (BadEntry, _JSON + "3 (mod 7)")),
+    ([[GF5.element(3)]], (MixedFields, "entry from GF(5) in a GF(7) matrix"),
+     (BadEntry, _JSON + "3 (mod 5)")),
+    ([(1, 2), (3, 4)], [[1, 2], [3, 4]], (BadEntry, _ROWS)),
+    ([[1, 2], (3, 4)], [[1, 2], [3, 4]], (BadEntry, _ROWS)),
+    ("ab", (TypeError, _TYPE + "str"), (BadEntry, _ROWS)),
+    (None, (TypeError, "'NoneType' object is not iterable"), (BadEntry, _ROWS)),
+    ([[1, 2], None], (TypeError, "'NoneType' object is not iterable"), (BadEntry, _ROWS)),
+]
+
+
+@pytest.mark.parametrize("data, via_init, via_json", ODD_INPUTS)
+def test_odd_entries_keep_their_values_and_errors(data, via_init, via_json):
+    for build, expected in ((Matrix, via_init), (Matrix.from_json_rows, via_json)):
+        if isinstance(expected, tuple):
+            kind, message = expected
+            with pytest.raises(kind) as caught:
+                build(GF7, data)
+            assert type(caught.value) is kind and str(caught.value) == message
+        else:
+            assert build(GF7, data).to_lists() == expected

@@ -182,3 +182,12 @@ def test_json_round_trip():
     assert Subspace.from_json_dict(payload) == space
     zero = Subspace.zero(GF3, 2)
     assert Subspace.from_json_dict(zero.to_json_dict()) == zero
+
+
+def test_basis_is_a_frozen_copy_of_the_reduced_rows():
+    gens = Matrix(GF3, [[1, 2, 0], [2, 1, 0], [0, 0, 1]])
+    space = Subspace.span_of(gens)
+    assert space.basis == Matrix(GF3, [[1, 2, 0], [0, 0, 1]])
+    # its own array, not a view that keeps the whole reduced matrix alive
+    assert space.basis._a.base is None
+    assert not space.basis._a.flags.writeable
