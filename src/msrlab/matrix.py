@@ -245,7 +245,12 @@ class Matrix:
     def kron(self, other: Matrix) -> Matrix:
         """Kronecker product; kron of two row vectors realizes u (x) v."""
         self._same_spec(other)
-        return Matrix._wrap(self.spec, np.kron(self._a, other._a))
+        a, b = self._a, other._a
+        # entry (i, k, j, l) is a[i, j] * b[k, l] < 2**62, at row i*b.rows + k
+        out = (a[:, None, :, None] * b[None, :, None, :]).reshape(
+            self.rows * other.rows, self.cols * other.cols)
+        out %= self.spec.p
+        return Matrix._adopt(self.spec, out)
 
     def rref(self) -> tuple[Matrix, int, tuple[int, ...]]:
         """Unique reduced row echelon form.

@@ -166,30 +166,47 @@ class MsrSubspaceFamily:
 
     def verify(self) -> VerificationReport:
         """Recompute invertibility, regeneration, and alignment from scratch
-        on the first call; later calls return the same report. H_i (dim ell/r)
-        over its r-1 images stacks to ell rows, of rank ell exactly when the
-        images sum directly to F^ell. phi(H_i) == H_i when H_i @ phi lies in
-        H_i and phi is invertible or those rows' coordinates have full rank."""
+        on the first call; later calls return the same report.
+
+        Per member H_i (dim d = ell/r, pivots P) and map row o, the images
+        H_i @ phi_{o,j} come from one product and stack to Y, (r-1)d rows;
+        one more product gives the residual R = Y - Y[:, P] @ H_i, zero in a
+        block exactly when that image lies in H_i. phi(H_i) == H_i when its
+        block is zero and phi is invertible or the block's coordinates
+        Y[:, P] have full rank. R is zero at P, so [H_i; Y] has rank d plus
+        the rank of R at the free columns, and ell exactly when the images
+        sum directly to F^ell."""
         if self._report is not None:
             return self._report
+        ell, d = self.ell, self.ell // self.r
         invertible = {}
         for i, row in enumerate(self.maps):
             for j, phi in enumerate(row, start=1):
-                invertible[(i, j)] = phi.rank() == self.ell
-        direct_sum = {}
-        for i, sub in enumerate(self.subspaces):
-            stack = Matrix.vstack([sub.basis] + [sub.basis @ phi for phi in self.maps[i]])
-            direct_sum[i] = stack.rank() == self.ell
+                invertible[(i, j)] = phi.rank() == ell
+        direct_sum = {i: d == ell for i in range(self.k)}  # r = 1: no maps
         alignment = {}
-        for i, sub in enumerate(self.subspaces):
-            for other in range(self.k):
+        for other, row in enumerate(self.maps):
+            if not row:
+                continue
+            # one member's maps side by side; never all k rows at once
+            maps = row[0] if len(row) == 1 else Matrix.hstack(row)
+            for i, sub in enumerate(self.subspaces):
+                images = (sub.basis @ maps)._a.reshape(d, -1, ell).swapaxes(0, 1).reshape(-1, ell)
+                coords = Matrix._adopt(self.spec, images[:, sub._pivots])
+                residual = images - (coords @ sub.basis)._a
+                residual %= self.spec.p
                 if other == i:
+                    free = sub.basis._free_columns(sub._pivots)
+                    rank = Matrix._adopt(self.spec, residual[:, free]).rank()
+                    direct_sum[i] = d + rank == ell
                     continue
-                for j, phi in enumerate(self.maps[other], start=1):
-                    coords = sub.coordinates(sub.basis @ phi)
-                    alignment[(i, other, j)] = coords is not None and (
-                        invertible[(other, j)] or coords.rank() == sub.dim
+                for j in range(1, self.r):
+                    block = slice((j - 1) * d, j * d)
+                    alignment[(i, other, j)] = not residual[block].any() and (
+                        invertible[(other, j)]
+                        or Matrix._adopt(self.spec, coords._a[block]).rank() == d
                     )
+        alignment = {key: alignment[key] for key in sorted(alignment)}  # member-major
         self._report = VerificationReport(
             ell=self.ell,
             r=self.r,

@@ -87,7 +87,8 @@ class Subspace:
 
     def intersect(self, other: Subspace) -> Subspace:
         self._check_compatible(other)
-        return self.annihilator().sum(other.annihilator()).annihilator()
+        both = Matrix.vstack([self.annihilator_basis(), other.annihilator_basis()])
+        return Subspace.span_of(both).annihilator()
 
     __and__ = intersect
 

@@ -2,8 +2,9 @@
 definitions they replace.
 
 Subspace.coordinates decides membership from the reduced basis with one
-product; verify() decides alignment with it plus a dimension check, and
-regeneration with one rank of H stacked over its unreduced images; and
+product; verify() decides alignment by the same rule on each block of
+one residual per member and map row, plus a dimension check, and
+regeneration with one rank of that residual at H's free columns; and
 construct_tensor_family builds every basis and map from Kronecker products.
 The oracles below are the definitions: membership as the rank of the
 stacked bases, alignment as apply_map(phi) == H, regeneration as
@@ -258,10 +259,56 @@ def test_verify_ranks_each_regeneration_stack_once(monkeypatch):
     real = Matrix.rref
     monkeypatch.setattr(Matrix, "rref", lambda self: eliminated.append(self) or real(self))
     assert family.verify().ok
-    # one rank per map, then one rank per member of its ell-row regeneration stack
+    # one rank per map, then one rank per member of its residual at the free
+    # columns: (r-1) * ell/r rows, ell - ell/r columns
     stacks = [mat for mat in eliminated if not any(mat is phi for phi in maps)]
+    d = family.ell // family.r
     assert len(eliminated) == len(maps) + family.k
-    assert [mat.shape for mat in stacks] == [(family.ell, family.ell)] * family.k
+    assert [mat.shape for mat in stacks] == [((family.r - 1) * d, family.ell - d)] * family.k
+
+
+def test_verify_makes_two_products_per_member_and_map_row(monkeypatch):
+    rng = random.Random(4)
+    families = [construct_tensor_family(3, 2, GF5, 2), construct_tensor_family(2, 3, GF3, 2),
+                eigen_family(GF5, 6, 3, 4, rng), eigen_family(BIG, 4, 2, 3, rng)]
+    products = []
+    real = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or real(a, b))
+    monkeypatch.setattr(Subspace, "coordinates", lambda *args: pytest.fail("coordinates called"))
+    for family in families:
+        products.clear()
+        family.verify()
+        assert 0 < len(products) <= 2 * family.k * family.k
+
+
+@pytest.mark.parametrize("spec", [GF5, BIG], ids=lambda s: f"p{s.p}")
+def test_singular_map_keeping_its_member_fails_regeneration(spec):
+    # phi = C @ H_i maps all of F^ell into H_i: singular, and H_i @ phi
+    # stays inside H_i, so the images cannot regenerate F^ell
+    family = construct_tensor_family(3, 2, spec, 2)
+    rng = random.Random(spec.p)
+    i, d = 3, family.ell // family.r
+    basis = family.subspaces[i].basis
+    while True:
+        phi = random_rows(spec, family.ell, d, rng) @ basis
+        if (basis @ phi).rank() == d:  # phi(H_i) is all of H_i
+            break
+    maps = [list(row) for row in family.maps]
+    maps[i][1] = phi
+    bad = MsrSubspaceFamily(family.ell, family.r, spec, family.subspaces, maps)
+    report = bad.verify()
+    assert report.direct_sum_failures == (i,)
+    assert report.noninvertible == ((i, 2),)
+    assert_same_report(bad)
+
+
+def test_verify_of_single_slot_families_matches_definition():
+    # r = 1: no maps, every member is the whole space and regenerates it
+    rng = random.Random(3)
+    for spec in (GF3, BIG):
+        family = eigen_family(spec, 3, 1, 3, rng)
+        assert family.verify().ok
+        assert_same_report(family)
 
 
 # ---------------------------------------------------------------- construction

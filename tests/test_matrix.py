@@ -257,6 +257,26 @@ def test_kron_small():
     assert a.kron(b).to_lists() == [[1, 0, 2, 0], [0, 1, 0, 2]]
 
 
+@pytest.mark.parametrize("p", [3, 7, 2**31 - 1])
+def test_kron_is_numpy_kron_mod_p(p):
+    spec = FieldSpec(p)
+    rng = random.Random(p)
+    def draw(rows, cols):  # p - 1 often, for the largest products
+        if rows == 0:
+            return Matrix.zeros(spec, 0, cols)
+        return Matrix(spec, [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(cols)]
+                             for _ in range(rows)])
+
+    shapes = [(1, 1), (1, 4), (3, 1), (2, 3), (0, 3), (3, 0), (0, 0)]
+    for a_shape, b_shape in itertools.product(shapes, repeat=2):
+        a, b = draw(*a_shape), draw(*b_shape)
+        want = np.kron(a._a, b._a) % p
+        got = a.kron(b)._a
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
 def test_kron_mixed_product_rule():
     rng = random.Random(5)
     for _ in range(10):

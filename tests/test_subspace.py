@@ -104,6 +104,23 @@ def test_intersection_matches_brute_force():
         assert vector_set(a & b) == expected
 
 
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_intersection_eliminates_twice_and_matches_the_four_step_form(p, monkeypatch):
+    spec = FieldSpec(p)
+    rng = random.Random(p)
+    ambient = 5
+    spaces = [Subspace.zero(spec, ambient), Subspace.full(spec, ambient)]
+    spaces += [random_subspace(spec, ambient, rng) for _ in range(6)]
+    eliminated = []
+    real = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda self: eliminated.append(1) or real(self))
+    for a, b in itertools.product(spaces, repeat=2):
+        want = a.annihilator().sum(b.annihilator()).annihilator()
+        eliminated.clear()
+        assert a.intersect(b) == want
+        assert len(eliminated) == 2
+
+
 def test_dimension_formula():
     rng = random.Random(13)
     for _ in range(30):
