@@ -76,11 +76,13 @@ def _fail(report: dict) -> int:
     return 1
 
 
-def _check_ceiling(ell: int, ceiling: int) -> None:
-    """Refuse a loaded family or code whose ell exceeds --ceiling before any
-    work on it, as construct and sweep refuse to build one."""
-    if ell > ceiling:
-        raise CeilingExceeded(f"ell = {ell} exceeds ceiling {ceiling}")
+def _load_within(path: str, ceiling: int):
+    """A family or code payload, refused if its integer ell exceeds --ceiling
+    before any of it is parsed or eliminated, as construct and sweep are."""
+    payload = _load_json(path)
+    if isinstance(payload, dict) and type(payload.get("ell")) is int and payload["ell"] > ceiling:
+        raise CeilingExceeded(f"ell = {payload['ell']} exceeds ceiling {ceiling}")
+    return payload
 
 
 def _replay(args: argparse.Namespace, command: str) -> str:
@@ -88,15 +90,19 @@ def _replay(args: argparse.Namespace, command: str) -> str:
     return command + (f" --ceiling {args.ceiling}" if args.ceiling != DEFAULT_CEILING else "")
 
 
+def _fail_family(args: argparse.Namespace, report, family: MsrSubspaceFamily, files: str) -> int:
+    """The exit-1 report of verify, bound or extract on a family read from `files`."""
+    return _fail({"failure": args.command, "report": report.to_json_dict(),
+                  "family": family.to_json_dict(),
+                  "replay": _replay(args, f"msrlab {args.command} {files}")})
+
+
 def _load_family(args: argparse.Namespace) -> MsrSubspaceFamily:
-    family = MsrSubspaceFamily.from_json_dict(_load_json(args.infile))
-    _check_ceiling(family.ell, args.ceiling)
-    return family
+    return MsrSubspaceFamily.from_json_dict(_load_within(args.infile, args.ceiling))
 
 
 def _load_code_and_scheme(args: argparse.Namespace):
-    code = VectorCodeSystematic.from_json_dict(_load_json(args.code))
-    _check_ceiling(code.ell, args.ceiling)
+    code = VectorCodeSystematic.from_json_dict(_load_within(args.code, args.ceiling))
     return code, scheme_from_json_dict(_load_json(args.scheme))
 
 
@@ -163,14 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(line)
     if report.ok:
         return 0
-    return _fail(
-        {
-            "failure": "verify",
-            "report": report.to_json_dict(),
-            "family": family.to_json_dict(),
-            "replay": _replay(args, f"msrlab verify --in {args.infile}"),
-        }
-    )
+    return _fail_family(args, report, family, f"--in {args.infile}")
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -181,14 +180,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     print(f"within bound: {report.within_bound}")
     if report.within_bound:
         return 0
-    return _fail(
-        {
-            "failure": "bound",
-            "report": report.to_json_dict(),
-            "family": family.to_json_dict(),
-            "replay": _replay(args, f"msrlab bound --in {args.infile}"),
-        }
-    )
+    return _fail_family(args, report, family, f"--in {args.infile}")
 
 
 def cmd_decay(args: argparse.Namespace) -> int:
@@ -326,14 +318,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
     if report.ok:
         return 0
-    return _fail(
-        {
-            "failure": "extract",
-            "report": report.to_json_dict(),
-            "family": family.to_json_dict(),
-            "replay": _replay(args, f"msrlab extract --code {args.code} --scheme {args.scheme}"),
-        }
-    )
+    return _fail_family(args, report, family, f"--code {args.code} --scheme {args.scheme}")
 
 
 def cmd_cutset(args: argparse.Namespace) -> int:

@@ -12,6 +12,11 @@ that every block still sums at least 2**15 terms. Row reduction always picks
 the first nonzero entry in column order, so the reduced form of a given row
 space is unique and matrices can be compared entry by entry.
 
+A Matrix is built in one of two ways only: `Matrix(spec, rows)` from Python
+values, which it reduces, or `Matrix._adopt(spec, arr)` over a fresh int64
+array the caller has already reduced mod p, which it freezes without a copy.
+Every operation reduces its own fresh result and adopts it.
+
 Vectors are 1 x n matrices and maps act on them from the right (x -> x @ M)
 unless a function says otherwise.
 """
@@ -67,11 +72,6 @@ class Matrix:
         self._a = arr
 
     @classmethod
-    def _wrap(cls, spec: FieldSpec, arr: np.ndarray) -> Matrix:
-        """Matrix over a reduced copy of arr, which may be unreduced or shared."""
-        return cls._adopt(spec, np.array(arr, dtype=np.int64) % spec.p)
-
-    @classmethod
     def _adopt(cls, spec: FieldSpec, arr: np.ndarray) -> Matrix:
         """Matrix over arr itself, which must be a fresh int64 array already
         reduced mod p; it is frozen, not copied."""
@@ -101,29 +101,25 @@ class Matrix:
 
     @classmethod
     def vstack(cls, parts: Sequence[Matrix]) -> Matrix:
-        if not parts:
-            raise ShapeMismatch("vstack of nothing")
-        spec = parts[0].spec
-        cols = parts[0].cols
-        for part in parts[1:]:
-            if part.spec != spec:
-                raise MixedFields("vstack across field specs")
-            if part.cols != cols:
-                raise ShapeMismatch(f"vstack widths differ: {part.cols} vs {cols}")
-        return cls._adopt(spec, np.vstack([part._a for part in parts]))
+        return cls._stack(parts, 0, "vstack", "widths")
 
     @classmethod
     def hstack(cls, parts: Sequence[Matrix]) -> Matrix:
+        return cls._stack(parts, 1, "hstack", "heights")
+
+    @classmethod
+    def _stack(cls, parts: Sequence[Matrix], axis: int, name: str, sides: str) -> Matrix:
+        """The parts joined along axis, which must agree on the other one."""
         if not parts:
-            raise ShapeMismatch("hstack of nothing")
+            raise ShapeMismatch(f"{name} of nothing")
         spec = parts[0].spec
-        rows = parts[0].rows
+        size = parts[0].shape[1 - axis]
         for part in parts[1:]:
             if part.spec != spec:
-                raise MixedFields("hstack across field specs")
-            if part.rows != rows:
-                raise ShapeMismatch(f"hstack heights differ: {part.rows} vs {rows}")
-        return cls._adopt(spec, np.hstack([part._a for part in parts]))
+                raise MixedFields(f"{name} across field specs")
+            if part.shape[1 - axis] != size:
+                raise ShapeMismatch(f"{name} {sides} differ: {part.shape[1 - axis]} vs {size}")
+        return cls._adopt(spec, np.concatenate([part._a for part in parts], axis=axis))
 
     @property
     def rows(self) -> int:
@@ -142,10 +138,10 @@ class Matrix:
         return FieldElement(int(self._a[i, j]), self.spec)
 
     def row(self, i: int) -> Matrix:
-        return Matrix._wrap(self.spec, self._a[i : i + 1])
+        return Matrix._adopt(self.spec, self._a[i : i + 1].copy())
 
     def column(self, j: int) -> Matrix:
-        return Matrix._wrap(self.spec, self._a[:, j : j + 1])
+        return Matrix._adopt(self.spec, self._a[:, j : j + 1].copy())
 
     def columns(self, indices: Sequence[int]) -> Matrix:
         """The columns at the given indices, in that order."""
@@ -182,7 +178,7 @@ class Matrix:
         self._same_spec(other)
         if self.shape != other.shape:
             raise ShapeMismatch(f"add {self.shape} to {other.shape}")
-        return Matrix._wrap(self.spec, self._a + other._a)
+        return Matrix._adopt(self.spec, (self._a + other._a) % self.spec.p)
 
     def __sub__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
@@ -190,14 +186,14 @@ class Matrix:
         self._same_spec(other)
         if self.shape != other.shape:
             raise ShapeMismatch(f"subtract {other.shape} from {self.shape}")
-        return Matrix._wrap(self.spec, self._a - other._a)
+        return Matrix._adopt(self.spec, (self._a - other._a) % self.spec.p)
 
     def __neg__(self) -> Matrix:
-        return Matrix._wrap(self.spec, -self._a)
+        return Matrix._adopt(self.spec, (-self._a) % self.spec.p)
 
     def __mul__(self, scalar) -> Matrix:
         c = _coerce_entry(scalar, self.spec)
-        return Matrix._wrap(self.spec, self._a * c)
+        return Matrix._adopt(self.spec, (self._a * c) % self.spec.p)
 
     __rmul__ = __mul__
 
@@ -240,7 +236,7 @@ class Matrix:
         return Matrix._adopt(self.spec, prod)
 
     def transpose(self) -> Matrix:
-        return Matrix._wrap(self.spec, self._a.T)
+        return Matrix._adopt(self.spec, self._a.T.copy())
 
     def kron(self, other: Matrix) -> Matrix:
         """Kronecker product; kron of two row vectors realizes u (x) v."""
@@ -339,7 +335,7 @@ class Matrix:
         rank = sum(c < n for c in pivots)
         if rank < n:
             raise Singular(f"matrix of rank {rank} < {n}")
-        return Matrix._wrap(self.spec, reduced._a[:, n:])
+        return Matrix._adopt(self.spec, reduced._a[:, n:].copy())
 
     def solve_left(self, rhs: Matrix) -> Matrix:
         """One X with X @ self = rhs (free variables pinned to zero).
@@ -352,13 +348,12 @@ class Matrix:
         self._same_spec(rhs)
         if self.cols != rhs.cols:
             raise ShapeMismatch(f"solve_left widths differ: {self.cols} vs {rhs.cols}")
-        aug = Matrix.hstack([self.transpose(), rhs.transpose()])
-        reduced, _, pivots = aug.rref()
+        reduced, _, pivots = Matrix._adopt(self.spec, np.hstack([self._a.T, rhs._a.T])).rref()
         if any(c >= self.rows for c in pivots):
             raise Singular("inconsistent system: rhs outside the row space")
-        xt = np.zeros((self.rows, rhs.rows), dtype=np.int64)
-        xt[list(pivots)] = reduced._a[: len(pivots), self.rows :]
-        return Matrix._wrap(self.spec, xt.T)
+        x = np.zeros((rhs.rows, self.rows), dtype=np.int64)
+        x[:, list(pivots)] = reduced._a[: len(pivots), self.rows :].T
+        return Matrix._adopt(self.spec, x)
 
     def to_json_dict(self) -> dict:
         return {

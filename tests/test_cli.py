@@ -11,6 +11,7 @@ import pytest
 from msrlab import cli
 from msrlab.cli import _ell_within, main
 from msrlab.errors import CeilingExceeded
+from msrlab.matrix import Matrix
 from msrlab.msr_family import MsrSubspaceFamily
 from msrlab.repair import ConstantRepairScheme, evenodd_constant_instance, random_constant_instance
 
@@ -222,6 +223,33 @@ def test_verify_failure_reports_instance(tmp_path, capsys):
     assert "replay" in report
 
 
+def test_bound_failure_reports_instance(tmp_path, capsys):
+    # six lines of F_7^2 with ell = 2, r = 2: 6 > 4 * 2 * ln 2 ~= 5.545
+    identity = {"rows": 2, "cols": 2, "p": 7, "data": [[1, 0], [0, 1]]}
+    payload = {
+        "ell": 2, "r": 2, "p": 7,
+        "subspaces": [{"ambient": 2, "p": 7, "basis": [[1, i]]} for i in range(6)],
+        "maps": [[identity] for _ in range(6)],
+    }
+    path = tmp_path / "over_bound.json"
+    path.write_text(json.dumps(payload))
+    for extra, suffix in (((), ""), (("--ceiling", "16"), " --ceiling 16")):
+        code, out, _ = run(capsys, "bound", "--in", str(path), *extra)
+        assert code == 1
+        head, body = out[: out.index("{")], out[out.index("{") :]
+        assert head.splitlines() == [
+            "k = 6, ell = 2, r = 2", "4 * r * ln(ell) ~= 5.545177", "within bound: False"]
+        report = json.loads(body)
+        assert list(report) == ["failure", "report", "family", "replay"]
+        assert report["failure"] == "bound"
+        assert list(report["report"]) == ["k", "ell", "r", "bound_approx", "within_bound"]
+        assert report["report"]["k"] == 6 and report["report"]["within_bound"] is False
+        assert report["family"] == payload
+        assert list(report["family"]) == list(payload)
+        assert report["replay"] == f"msrlab bound --in {path}{suffix}"
+        assert body == json.dumps(report, indent=2) + "\n"
+
+
 def test_sweep_small_grid(capsys):
     code, out, _ = run(capsys, "sweep", "--r-list", "2", "--m-list", "1,2")
     assert code == 0
@@ -350,29 +378,66 @@ def test_ceiling_refuses_huge_powers_at_once(argv, tmp_path, monkeypatch, capsys
     assert not (tmp_path / "unused.json").exists()
 
 
+def count_rref_calls(monkeypatch) -> list:
+    """Patch Matrix.rref to count its calls; returns the list it appends to."""
+    calls = []
+    original = Matrix.rref
+
+    def counted(self):
+        calls.append(self.shape)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    return calls
+
+
 @pytest.mark.parametrize("command", ["verify", "bound", "decay"])
-def test_loaded_family_above_the_ceiling_is_refused(command, tmp_path, capsys):
+def test_loaded_family_above_the_ceiling_is_refused(command, tmp_path, capsys, monkeypatch):
     path = tmp_path / "f8.json"
     assert main(["construct", "--r", "2", "--m", "3", "--p", "3", "--out", str(path)]) == 0
     capsys.readouterr()
-    code, out, err = run(capsys, command, "--in", str(path), "--ceiling", "4")
-    assert (code, out, err) == (2, "", "error: ell = 8 exceeds ceiling 4\n")
+    # member 0 of dimension 1 where ell / r = 4: the family's own check
+    # would refuse it, but only after parsing and eliminating the file
+    broken = json.loads(path.read_text())
+    broken["subspaces"][0]["basis"] = broken["subspaces"][0]["basis"][:1]
+    broken_path = tmp_path / "f8_broken.json"
+    broken_path.write_text(json.dumps(broken))
+    calls = count_rref_calls(monkeypatch)
+    for loaded_path in (path, broken_path):
+        code, out, err = run(capsys, command, "--in", str(loaded_path), "--ceiling", "4")
+        assert (code, out, err) == (2, "", "error: ell = 8 exceeds ceiling 4\n")
+    assert calls == []
     code, _, _ = run(capsys, command, "--in", str(path), "--ceiling", "8")
     assert code == 0
+    code, _, err = run(capsys, command, "--in", str(broken_path), "--ceiling", "8")
+    assert (code, err) == (2, "error: subspace 0 has dim 1, expected 4\n")
 
 
 @pytest.mark.parametrize("command", ["repair-check", "extract"])
-def test_loaded_code_above_the_ceiling_is_refused(command, tmp_path, capsys):
+def test_loaded_code_above_the_ceiling_is_refused(command, tmp_path, capsys, monkeypatch):
     code, scheme = random_constant_instance(5, 3, 4, random.Random(5))
     code_path = tmp_path / "code.json"
     scheme_path = tmp_path / "scheme.json"
     code_path.write_text(json.dumps(code.to_json_dict()))
     scheme_path.write_text(json.dumps(scheme.to_json_dict()))
+    # a zero parity block (0,0): the code's own check would refuse it as
+    # singular, but only after parsing the file and ranking its blocks
+    broken = code.to_json_dict()
+    broken["parity"][0][0]["data"] = [[0] * 4 for _ in range(4)]
+    broken_path = tmp_path / "code_broken.json"
+    broken_path.write_text(json.dumps(broken))
+    calls = count_rref_calls(monkeypatch)
+    for loaded_path in (code_path, broken_path):
+        argv = (command, "--code", str(loaded_path), "--scheme", str(scheme_path))
+        status, out, err = run(capsys, *argv, "--ceiling", "2")
+        assert (status, out, err) == (2, "", "error: ell = 4 exceeds ceiling 2\n")
+    assert calls == []
     argv = (command, "--code", str(code_path), "--scheme", str(scheme_path))
-    status, out, err = run(capsys, *argv, "--ceiling", "2")
-    assert (status, out, err) == (2, "", "error: ell = 4 exceeds ceiling 2\n")
     status, _, _ = run(capsys, *argv, "--ceiling", "4")
     assert status == 0
+    argv = (command, "--code", str(broken_path), "--scheme", str(scheme_path))
+    status, _, err = run(capsys, *argv, "--ceiling", "4")
+    assert (status, err) == (2, "error: parity block (0,0) is singular\n")
 
 
 def test_replay_keeps_a_non_default_ceiling(tmp_path, capsys):

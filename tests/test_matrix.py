@@ -91,6 +91,15 @@ def test_stacking():
     assert Matrix.hstack([a, b]).to_lists() == [[1, 2, 0, 1]]
     with pytest.raises(ShapeMismatch):
         Matrix.vstack([a, Matrix(GF3, [[1], [2]])])
+    tall = Matrix(GF3, [[1], [2]])
+    for stack, name, mismatch in ((Matrix.vstack, "vstack", "widths differ: 1 vs 2"),
+                                  (Matrix.hstack, "hstack", "heights differ: 2 vs 1")):
+        with pytest.raises(ShapeMismatch, match=f"^{name} of nothing$"):
+            stack([])
+        with pytest.raises(MixedFields, match=f"^{name} across field specs$"):
+            stack([a, Matrix(GF5, [[1, 2]])])
+        with pytest.raises(ShapeMismatch, match=f"^{name} {mismatch}$"):
+            stack([a, tall])
 
 
 def test_equality_and_hash():
@@ -462,10 +471,13 @@ def test_json_round_trip():
 def test_results_are_frozen_and_unshared():
     a = Matrix(GF5, [[1, 2], [3, 4]])
     results = [a @ a, a.rref()[0], a.kernel(), Matrix.vstack([a, a]), Matrix.identity(GF5, 2),
-               a.columns([1, 0]), a + a, a.row(0)]
+               a.columns([1, 0]), a + a, a.row(0), a.column(1), a.transpose(), a - a, -a, 3 * a,
+               a.invert(), a.solve_left(a), Matrix.hstack([a, a])]
     for result in results:
         assert not result._a.flags.writeable
         assert not np.shares_memory(result._a, a._a)
+        assert result._a.dtype == np.int64
+        assert ((0 <= result._a) & (result._a < 5)).all()
     assert a.columns([1, 0]) == Matrix(GF5, [[2, 1], [4, 3]])
 
 
