@@ -10,11 +10,15 @@ enough that no intermediate ever reaches 2**63. When a whole product is
 too large for one block, the right factor is split into 16-bit limbs so
 that every block still sums at least 2**15 terms. Row reduction always picks
 the first nonzero entry in column order, so the reduced form of a given row
-space is unique and matrices can be compared entry by entry.
+space is unique and matrices can be compared entry by entry. `rank` first
+peels rows and columns with a single nonzero, which need no elimination.
 
 A Matrix is built in one of two ways only: `Matrix(spec, rows)` from Python
-values, which it reduces, or `Matrix._adopt(spec, arr)` over a fresh int64
-array the caller has already reduced mod p, which it freezes without a copy.
+values, which it reduces, or `Matrix._adopt(spec, arr)` over an int64 array
+the caller has already reduced mod p, which it freezes without a copy. That
+array is fresh, or a read-only view of another Matrix's frozen array: both
+stay unchanged for good, and copying a view, such as the d * ell x ell
+reshape of decay's maps (255 MB at ell = 81), would only cost memory.
 Every operation reduces its own fresh result and adopts it.
 
 Vectors are 1 x n matrices and maps act on them from the right (x -> x @ M)
@@ -73,8 +77,9 @@ class Matrix:
 
     @classmethod
     def _adopt(cls, spec: FieldSpec, arr: np.ndarray) -> Matrix:
-        """Matrix over arr itself, which must be a fresh int64 array already
-        reduced mod p; it is frozen, not copied."""
+        """Matrix over arr itself, an int64 array already reduced mod p: a
+        fresh one, or a read-only view of a frozen Matrix array, which no
+        one can write through. It is frozen, not copied."""
         arr.setflags(write=False)
         m = object.__new__(cls)
         m.spec = spec
@@ -301,7 +306,29 @@ class Matrix:
         return Matrix._adopt(self.spec, a), rank, tuple(pivots)
 
     def rank(self) -> int:
-        return self.rref()[1]
+        """rref()[1], after peeling what needs no elimination. A row whose
+        one nonzero is in column c adds 1 per distinct c; the rows go, and
+        so do those columns. Failing such rows, columns with one nonzero go
+        the same way, as rows of the transpose. Zero rows and columns go
+        too. Fewer than 2 * max(shape) nonzeros leave some row or column
+        with at most one, so each pass removes something and a dense matrix
+        costs one count. Below 5 rows or columns a pass costs about as much
+        as rref itself, so what is left then goes straight through rref."""
+        a, rank = self._a, 0
+        while min(a.shape) > 4 and np.count_nonzero(a) < 2 * max(a.shape):
+            # 1 at the nonzeros; a bool sum or argmax would page in numpy
+            # loops that nothing else here uses, 64 KiB of peak RSS each
+            ones = np.minimum(a, 1)
+            in_rows = ones.sum(1)
+            if not (in_rows == 1).any():
+                a, ones = a.T, ones.T
+                in_rows = ones.sum(1)
+            hit = ones[in_rows == 1].any(0)
+            rank += int(np.count_nonzero(hit))
+            a = a[in_rows > 1][:, ~hit & ones.any(0)]
+        if a is self._a:
+            return self.rref()[1]
+        return rank + (Matrix._adopt(self.spec, a).rref()[1] if a.size else 0)
 
     def kernel(self) -> Matrix:
         """Basis of the right null space {x : self @ x = 0}, one solution

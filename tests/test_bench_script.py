@@ -1,0 +1,55 @@
+"""bench/make_bench.py in its tiny mode, and the schema of the BENCH files
+it writes, the committed ones included."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+ROW_KEYS = ["layer", "ell", "shape", "inputs", "p", "rref_calls", "repeats", "median_s",
+            "iqr_s", "nproc", "python", "numpy", "commit", "dirty"]
+RANK_LAYERS = {"Matrix.rank", "rref()[1]"}
+
+
+def check_schema(payload: dict, ells: set[int], repeats: int | None = None):
+    assert list(payload) == ["rows"]
+    rows = payload["rows"]
+    for row in rows:
+        assert list(row) == ROW_KEYS
+        assert row["layer"] in RANK_LAYERS | {"MsrSubspaceFamily.verify"}
+        assert row["ell"] in ells
+        assert len(row["shape"]) == 2 and all(type(n) is int and n > 0 for n in row["shape"])
+        assert type(row["inputs"]) is int and row["inputs"] > 0
+        assert row["p"] == 3 and row["nproc"] >= 1
+        assert repeats is None or row["repeats"] == repeats
+        q1, q3 = row["iqr_s"]
+        assert 0 < q1 <= row["median_s"] <= q3
+        assert isinstance(row["commit"], str) and isinstance(row["dirty"], bool)
+        assert isinstance(row["python"], str) and isinstance(row["numpy"], str)
+        if row["layer"] == "rref()[1]":
+            assert row["rref_calls"] == row["inputs"]
+    # both rank layers time the same captured inputs, and every ell has a verify row
+    by_layer = {layer: sorted((r["ell"], r["shape"], r["inputs"]) for r in rows
+                              if r["layer"] == layer) for layer in RANK_LAYERS}
+    assert by_layer["Matrix.rank"] == by_layer["rref()[1]"] != []
+    assert {r["ell"] for r in rows if r["layer"] == "MsrSubspaceFamily.verify"} == ells
+
+
+def test_tiny_mode_writes_the_schema(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(ROOT / "bench" / "make_bench.py"), "--tiny",
+                    "--out", str(out)], check=True, cwd=tmp_path, timeout=120)
+    check_schema(json.loads(out.read_text()), {4, 8}, repeats=1)
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_bench_files_keep_the_schema(path):
+    rows = json.loads(path.read_text())
+    check_schema(rows, {16, 27, 81})
+    # at these sizes every rank of verify is decided by the peel
+    assert all(r["rref_calls"] == 0 for r in rows["rows"] if r["layer"] != "rref()[1]")

@@ -255,15 +255,15 @@ def test_verify_runs_once_per_family(monkeypatch):
 def test_verify_ranks_each_regeneration_stack_once(monkeypatch):
     family = construct_tensor_family(3, 2, GF5, 2)
     maps = [phi for row in family.maps for phi in row]
-    eliminated = []
-    real = Matrix.rref
-    monkeypatch.setattr(Matrix, "rref", lambda self: eliminated.append(self) or real(self))
+    ranked = []
+    real = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranked.append(self) or real(self))
     assert family.verify().ok
     # one rank per map, then one rank per member of its residual at the free
     # columns: (r-1) * ell/r rows, ell - ell/r columns
-    stacks = [mat for mat in eliminated if not any(mat is phi for phi in maps)]
+    stacks = [mat for mat in ranked if not any(mat is phi for phi in maps)]
     d = family.ell // family.r
-    assert len(eliminated) == len(maps) + family.k
+    assert len(ranked) == len(maps) + family.k
     assert [mat.shape for mat in stacks] == [((family.r - 1) * d, family.ell - d)] * family.k
 
 
