@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadParams, CeilingExceeded, LemmaViolation, MsrLabError
+from .errors import BadEntry, BadParams, CeilingExceeded, LemmaViolation, MsrLabError
 from .field import FieldSpec
 from .invariant import MapConstraint, decay_trace, invariant_dim
 from .matrix import Matrix
@@ -61,7 +61,10 @@ SWEEP_HEADER = (
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise BadEntry(f"{path}: JSON nested too deeply") from None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -590,10 +593,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         )
         return 1
-    except MsrLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (MsrLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

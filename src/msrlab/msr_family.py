@@ -12,14 +12,15 @@ from the right. Two properties make the family useful:
 verify() recomputes both properties, and the invertibility of every map,
 from scratch; nothing is trusted from construction time. A family is
 immutable, so its report is computed once and kept. Every verified
-family obeys the size bound k <= 4 r ln(ell), which bound_check() decides
-with exact rational brackets rather than floats.
+family obeys the size bound k <= 4 r ln(ell), that is ell >= e^(k/4r),
+which bound_check() decides with exact partial sums of the exponential
+series rather than floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -105,13 +106,7 @@ class BoundReport:
     within_bound: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "ell": self.ell,
-            "r": self.r,
-            "bound_approx": self.bound_approx,
-            "within_bound": self.within_bound,
-        }
+        return asdict(self)
 
 
 class MsrSubspaceFamily:
@@ -273,45 +268,13 @@ class MsrSubspaceFamily:
 # ----------------------------------------------------------------------
 # certified comparison against c * ln(ell)
 
-def _atanh_bracket(z: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    # atanh(z) = z + z^3/3 + z^5/5 + ... for 0 <= z < 1; the partial sum is
-    # a lower bound and the geometric tail bound gives an upper bound.
-    total = Fraction(0)
-    power = z
-    z2 = z * z
-    for n in range(terms):
-        total += power / (2 * n + 1)
-        power *= z2
-    tail = power / ((2 * terms + 1) * (1 - z2))
-    return total, total + tail
-
-
-def _ln_bracket(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    """Exact rational lower/upper bounds for ln(x), x >= 1."""
-    if x < 1:
-        raise BadParams(f"ln bracket needs x >= 1, got {x}")
-    halvings = 0
-    while x >= 2:
-        x /= 2
-        halvings += 1
-    lo = Fraction(0)
-    hi = Fraction(0)
-    if halvings:
-        ln2_lo, ln2_hi = _atanh_bracket(Fraction(1, 3), terms)
-        lo += 2 * halvings * ln2_lo
-        hi += 2 * halvings * ln2_hi
-    if x > 1:
-        z = (x - 1) / (x + 1)
-        t_lo, t_hi = _atanh_bracket(z, terms)
-        lo += 2 * t_lo
-        hi += 2 * t_hi
-    return lo, hi
-
-
 def compare_to_log_multiple(value, coeff: Fraction, ell: int) -> int:
     """Certified sign of value - coeff * ln(ell) for rational value and
-    coeff > 0. No floats: the ln bracket is refined until it decides, which
-    always happens because ln(ell) is irrational for integers ell >= 2."""
+    coeff > 0, which is the sign of e^q - ell for q = value / coeff. No
+    floats: for q > 0 the partial sums S of q^n/n! bound e^q from below and,
+    once n + 1 > q, S + t (n+1)/(n+1-q) bounds it from above, t = q^n/n! the
+    next term. One of them decides, because e^q is irrational for every
+    rational q != 0."""
     if ell < 1:
         raise BadParams(f"ell must be >= 1, got {ell}")
     value = Fraction(value)
@@ -320,15 +283,21 @@ def compare_to_log_multiple(value, coeff: Fraction, ell: int) -> int:
         raise BadParams("coefficient must be positive")
     if ell == 1:
         return (value > 0) - (value < 0)
-    terms = 8
-    while terms <= 1 << 20:
-        lo, hi = _ln_bracket(Fraction(ell), terms)
-        if value < coeff * lo:
-            return -1
-        if value > coeff * hi:
+    q = value / coeff
+    if q <= 0:
+        return -1
+    a, b = q.as_integer_ratio()
+    top, bottom = Fraction(ell).as_integer_ratio()
+    # S sums the terms below n; in integers, with q = a/b and ell = top/bottom,
+    # bottom * S = total / scale and bottom * t = term / scale, scale = b^n n!
+    total, term, scale, n = 0, bottom, 1, 0
+    while True:
+        if total > top * scale:
             return 1
-        terms *= 2
-    raise ArithmeticError("log bracket failed to converge")  # pragma: no cover
+        step = (n + 1) * b
+        if step > a and (total - top * scale) * (step - a) + term * step < 0:
+            return -1
+        total, term, scale, n = (total + term) * step, term * a, scale * step, n + 1
 
 
 # ----------------------------------------------------------------------

@@ -92,13 +92,9 @@ class VectorCodeSystematic:
         """All n blocks from the k data blocks."""
         if len(data) != self.k:
             raise ShapeMismatch(f"{len(data)} data blocks, expected {self.k}")
-        blocks = [as_block(self.spec, self.ell, d) for d in data]
-        for row in self.parity:
-            acc = Matrix.zeros(self.spec, self.ell, 1)
-            for coeff, block in zip(row, blocks):
-                acc = acc + coeff @ block
-            blocks.append(acc)
-        return tuple(blocks)
+        blocks = tuple(as_block(self.spec, self.ell, d) for d in data)
+        stacked = Matrix.vstack(blocks)
+        return blocks + tuple(Matrix.hstack(row) @ stacked for row in self.parity)
 
     def to_json_dict(self) -> dict:
         return {

@@ -59,11 +59,24 @@ def test_missing_file_is_usage_error(capsys):
     assert "error" in err
 
 
-def test_malformed_json_is_usage_error(tmp_path, capsys):
+def test_malformed_json_is_usage_error(tmp_path, instance_files, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     code, _, err = run(capsys, "verify", "--in", str(bad))
     assert code == 2
+    # nested past the recursion limit, so json.load raises RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code_path, scheme_path = instance_files
+    for argv in (
+        ["verify", "--in", deep],
+        ["repair-check", "--code", deep, "--scheme", scheme_path],
+        ["repair-check", "--code", code_path, "--scheme", deep],
+    ):
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("command", ["verify", "bound", "decay"])

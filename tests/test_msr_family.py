@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import decimal
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -230,6 +232,42 @@ def test_compare_to_log_multiple_edge_cases():
         compare_to_log_multiple(1, Fraction(5), 0)
     with pytest.raises(BadParams):
         compare_to_log_multiple(1, Fraction(0), 4)
+
+
+def _decimal(x: Fraction) -> decimal.Decimal:
+    return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+
+
+def test_compare_to_log_multiple_agrees_with_decimal_oracle():
+    # value - coeff * ln(ell) evaluated with decimal at 100 digits, an oracle
+    # independent of the series; cases within 1e-90 of a tie are skipped
+    rng = random.Random(1901)
+    ells = [1, 2, 3, 9, 81, 2**31 - 1, 10**100] + [rng.randint(1, 2**31 - 1) for _ in range(6)]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        cases = [  # the 16 comparisons of the default sweep grid
+            (k, Fraction(c), r**m)
+            for r in (2, 3) for m in (1, 2, 3, 4) for k in [(r + 1) * m] for c in (4 * r, r)
+        ]
+        for ell in ells:
+            for _ in range(12):
+                coeff = Fraction(rng.randint(1, 64), rng.choice([1, rng.randint(1, 10**9)]))
+                den = rng.randint(1, 10**9)
+                cases.append((rng.randint(-5, 400), coeff, ell))
+                cases.append((Fraction(rng.randint(-den, 400 * den), den), coeff, ell))
+                if ell > 1:  # near-ties, offset by 1e-6 down to 1e-40 either way
+                    offset = rng.choice([-1, 1]) * decimal.Decimal(10) ** -rng.randint(6, 40)
+                    tie = _decimal(coeff) * decimal.Decimal(ell).ln() + offset
+                    cases.append((Fraction(tie), coeff, ell))
+        checked = 0
+        for value, coeff, ell in cases:
+            gap = _decimal(Fraction(value)) - _decimal(coeff) * decimal.Decimal(ell).ln()
+            if abs(gap) < decimal.Decimal(10) ** -90:
+                continue
+            assert compare_to_log_multiple(value, coeff, ell) == (1 if gap > 0 else -1), (
+                value, coeff, ell)
+            checked += 1
+    assert checked >= len(cases) - 1 and checked > 400
 
 
 def test_all_constructed_families_within_bound():

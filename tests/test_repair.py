@@ -23,6 +23,7 @@ from msrlab.repair import (
     ConstantRepairScheme,
     GeneralRepairScheme,
     VectorCodeSystematic,
+    _random_invertible,
     as_block,
     check_msr_scheme,
     cutset_bound,
@@ -69,6 +70,23 @@ def test_evenodd_encode_examples():
     assert [b.column_values() for b in blocks] == [(1, 0), (0, 0), (1, 0), (0, 1)]
     blocks = code.encode([(1, 0), (1, 1)])
     assert [b.column_values() for b in blocks] == [(1, 0), (1, 1), (0, 1), (1, 0)]
+    # seeded (5, 3) codes with ell = 4: each parity block is the sum over the
+    # systematic nodes of parity[i][j] @ data[j], computed here in Python ints
+    rng = random.Random(2026)
+    for p in (2, 2**31 - 1):
+        spec = FieldSpec(p)
+        parity = [[_random_invertible(spec, 4, rng) for _ in range(3)] for _ in range(2)]
+        code = VectorCodeSystematic(n=5, k=3, ell=4, spec=spec, parity=parity)
+        data = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
+        blocks = code.encode(data)
+        assert [b.column_values() for b in blocks[:3]] == [tuple(d) for d in data]
+        for i in range(2):
+            lists = [parity[i][j].to_lists() for j in range(3)]
+            want = tuple(
+                sum(lists[j][s][c] * data[j][c] for j in range(3) for c in range(4)) % p
+                for s in range(4)
+            )
+            assert blocks[3 + i].column_values() == want
 
 
 def test_code_properties():
