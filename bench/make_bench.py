@@ -1,16 +1,20 @@
-"""Per-layer timings of the ranks that `verify` takes, written as one BENCH file.
+"""Per-layer timings of the ranks and products that `verify` takes, written as one BENCH file.
 
-    python3 bench/make_bench.py --out BENCH_12.json           # ell = 16, 27, 81
+    python3 bench/make_bench.py --out BENCH_14.json           # ell = 16, 27, 81
     python3 bench/make_bench.py --tiny --out bench_tiny.json  # ell = 4, 8; one repeat
 
 Run it from the root of a checkout. The inputs are captured, not listed: for
 each ell the script builds the tensor family over GF(3), runs verify() once
-with Matrix.rank wrapped, and keeps every matrix that verify ranks, grouped
-by shape. Each group is timed through Matrix.rank and through rref()[1], the
-rank by elimination alone, on the same matrices. A row's times are seconds
-per call: each repeat times one pass over the group and divides by its size.
-`rref_calls` counts the eliminations one pass makes. One more row per ell
-times the whole library verify() of the family, whose shape is (k, ell).
+with Matrix.rank and the product kernel wrapped, and keeps every matrix that
+verify ranks and every pair of arrays that it multiplies, grouped by shape.
+Each rank group is timed through Matrix.rank and through rref()[1], the rank
+by elimination alone, on the same matrices; each product group through the
+kernel, `matrix._product`, whose shape is the left operand's shape followed
+by the right one's column count (batch, rows, inner, cols when stacked). A
+row's times are seconds per call: each repeat times one pass over the group
+and divides by its size. `rref_calls` counts the eliminations one pass
+makes. One more row per ell times the whole library verify() of the family,
+whose shape is (k, ell).
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from msrlab import msr_family  # noqa: E402
 from msrlab.field import FieldSpec  # noqa: E402
-from msrlab.matrix import Matrix  # noqa: E402
+from msrlab.matrix import Matrix, _product  # noqa: E402
 from msrlab.msr_family import construct_tensor_family  # noqa: E402
 
 P = 3
@@ -83,17 +88,29 @@ def count_rref(call) -> int:
 
 def rows_for(ell: int, r: int, m: int, repeats: int, stamp: dict) -> list[dict]:
     family = construct_tensor_family(r, m, FieldSpec(P))
-    ranked, real = [], Matrix.rank
+    ranked, multiplied, real = [], [], Matrix.rank
     Matrix.rank = lambda self: ranked.append(self) or real(self)
+    msr_family._product = lambda a, b, p: multiplied.append((a, b)) or _product(a, b, p)
     try:
         if not family.verify().ok:
             raise SystemExit(f"the ell = {ell} tensor family does not verify")
     finally:
         Matrix.rank = real
+        msr_family._product = _product
     groups: dict[tuple[int, int], list[Matrix]] = {}
     for mat in ranked:
         groups.setdefault(mat.shape, []).append(mat)
+    products: dict[tuple[int, ...], list[tuple]] = {}
+    for a, b in multiplied:
+        products.setdefault(a.shape + b.shape[-1:], []).append((a, b))
     rows = []
+    for shape, pairs in products.items():
+        def one_pass(pairs=pairs):
+            for a, b in pairs:
+                _product(a, b, P)
+        rows.append({"layer": "matrix._product", "ell": ell, "shape": list(shape),
+                     "inputs": len(pairs), "p": P, "rref_calls": count_rref(one_pass),
+                     **timed(one_pass, repeats, len(pairs)), **stamp})
     for shape, mats in groups.items():
         for layer, rank in LAYERS.items():
             def one_pass(rank=rank, mats=mats):

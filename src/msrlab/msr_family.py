@@ -25,9 +25,11 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import BadLambda, BadParams, FieldTooSmall, StructuralError
 from .field import FieldElement, FieldSpec
-from .matrix import Matrix, loaded
+from .matrix import Matrix, _product, loaded
 from .subspace import Subspace, is_direct_sum_full  # noqa: F401 (msrbench traces this binding)
 
 
@@ -163,44 +165,48 @@ class MsrSubspaceFamily:
         """Recompute invertibility, regeneration, and alignment from scratch
         on the first call; later calls return the same report.
 
-        Per member H_i (dim d = ell/r, pivots P) and map row o, the images
-        H_i @ phi_{o,j} come from one product and stack to Y, (r-1)d rows;
-        one more product gives the residual R = Y - Y[:, P] @ H_i, zero in a
-        block exactly when that image lies in H_i. phi(H_i) == H_i when its
-        block is zero and phi is invertible or the block's coordinates
-        Y[:, P] have full rank. R is zero at P, so [H_i; Y] has rank d plus
-        the rank of R at the free columns, and ell exactly when the images
-        sum directly to F^ell."""
+        Members go in chunks of r, whose stacked bases are ell x ell like a
+        map. Per chunk, map row o and slot j, one product gives each member's
+        images Y = H_t @ phi_{o,j} (d = ell/r rows), and one stacked product
+        with its annihilator basis N_t gives Y @ N_t^T. N_t has 1 at free
+        column f and -H_t[:, f] at the pivots P, so that is R[:, free] for
+        R = Y - Y[:, P] @ H_t, which is zero at P, and zero exactly when the
+        images lie in H_t. phi(H_t) == H_t when R is zero and phi is
+        invertible or Y[:, P] has full rank. For t == o, [H_t; Y] stacked
+        over j has rank d plus that of R[:, free] stacked over j, and rank
+        ell exactly when the images sum directly to F^ell."""
         if self._report is not None:
             return self._report
-        ell, d = self.ell, self.ell // self.r
+        ell, r, p = self.ell, self.r, self.spec.p
+        d = ell // r
         invertible = {}
         for i, row in enumerate(self.maps):
             for j, phi in enumerate(row, start=1):
                 invertible[(i, j)] = phi.rank() == ell
         direct_sum = {i: d == ell for i in range(self.k)}  # r = 1: no maps
         alignment = {}
-        for other, row in enumerate(self.maps):
-            if not row:
-                continue
-            # one member's maps side by side; never all k rows at once
-            maps = row[0] if len(row) == 1 else Matrix.hstack(row)
-            for i, sub in enumerate(self.subspaces):
-                images = (sub.basis @ maps)._a.reshape(d, -1, ell).swapaxes(0, 1).reshape(-1, ell)
-                coords = Matrix._adopt(self.spec, images[:, sub._pivots])
-                residual = images - (coords @ sub.basis)._a
-                residual %= self.spec.p
-                if other == i:
-                    free = sub.basis._free_columns(sub._pivots)
-                    rank = Matrix._adopt(self.spec, residual[:, free]).rank()
-                    direct_sum[i] = d + rank == ell
-                    continue
-                for j in range(1, self.r):
-                    block = slice((j - 1) * d, j * d)
-                    alignment[(i, other, j)] = not residual[block].any() and (
-                        invertible[(other, j)]
-                        or Matrix._adopt(self.spec, coords._a[block]).rank() == d
-                    )
+        for first in range(0, self.k, r):
+            # r members at a time: all k at once raised sweep's peak RSS by 6%
+            chunk = self.subspaces[first : first + r]
+            bases = np.concatenate([sub.basis._a for sub in chunk])
+            annihilators = np.array([sub.annihilator_basis()._a.T for sub in chunk])
+            for other, row in enumerate(self.maps):
+                regeneration = []
+                for j, phi in enumerate(row, start=1):
+                    images = _product(bases, phi._a, p).reshape(len(chunk), d, ell)
+                    residuals = _product(images, annihilators, p)
+                    members = zip(chunk, images, residuals)
+                    for t, (sub, image, residual) in enumerate(members, start=first):
+                        if t == other:
+                            regeneration.append(residual)
+                            continue
+                        alignment[(t, other, j)] = not np.count_nonzero(residual) and (
+                            invertible[(other, j)]
+                            or Matrix._adopt(self.spec, image[:, sub._pivots]).rank() == d
+                        )
+                if regeneration:
+                    rank = Matrix._adopt(self.spec, np.concatenate(regeneration)).rank()
+                    direct_sum[other] = d + rank == ell
         alignment = {key: alignment[key] for key in sorted(alignment)}  # member-major
         self._report = VerificationReport(
             ell=self.ell,

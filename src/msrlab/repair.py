@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -190,7 +191,7 @@ def scheme_from_json_dict(payload: dict):
                 for row in repair
             )
         )
-    raise BadParams(f"unknown scheme kind {payload.get('kind')!r}")
+    raise BadParams(f"unknown scheme kind {reprlib.repr(payload.get('kind'))}")
 
 
 def _validate_scheme(code: VectorCodeSystematic, scheme):

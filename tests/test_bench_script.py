@@ -1,5 +1,6 @@
 """bench/make_bench.py in its tiny mode, and the schema of the BENCH files
-it writes, the committed ones included."""
+it writes, the committed ones included; files from BENCH_14.json on also
+time the product kernel."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ROW_KEYS = ["layer", "ell", "shape", "inputs", "p", "rref_calls", "repeats", "median_s",
             "iqr_s", "nproc", "python", "numpy", "commit", "dirty"]
 RANK_LAYERS = {"Matrix.rank", "rref()[1]"}
+PRODUCT_LAYER = "matrix._product"
 
 
 def check_schema(payload: dict, ells: set[int], repeats: int | None = None):
@@ -21,9 +23,11 @@ def check_schema(payload: dict, ells: set[int], repeats: int | None = None):
     rows = payload["rows"]
     for row in rows:
         assert list(row) == ROW_KEYS
-        assert row["layer"] in RANK_LAYERS | {"MsrSubspaceFamily.verify"}
+        assert row["layer"] in RANK_LAYERS | {"MsrSubspaceFamily.verify", PRODUCT_LAYER}
         assert row["ell"] in ells
-        assert len(row["shape"]) == 2 and all(type(n) is int and n > 0 for n in row["shape"])
+        # a product's shape is rows, inner, cols, led by the batch when stacked
+        sizes = (3, 4) if row["layer"] == PRODUCT_LAYER else (2,)
+        assert len(row["shape"]) in sizes and all(type(n) is int and n > 0 for n in row["shape"])
         assert type(row["inputs"]) is int and row["inputs"] > 0
         assert row["p"] == 3 and row["nproc"] >= 1
         assert repeats is None or row["repeats"] == repeats
@@ -44,7 +48,9 @@ def test_tiny_mode_writes_the_schema(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(ROOT / "bench" / "make_bench.py"), "--tiny",
                     "--out", str(out)], check=True, cwd=tmp_path, timeout=120)
-    check_schema(json.loads(out.read_text()), {4, 8}, repeats=1)
+    payload = json.loads(out.read_text())
+    check_schema(payload, {4, 8}, repeats=1)
+    assert {r["ell"] for r in payload["rows"] if r["layer"] == PRODUCT_LAYER} == {4, 8}
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -53,3 +59,5 @@ def test_committed_bench_files_keep_the_schema(path):
     check_schema(rows, {16, 27, 81})
     # at these sizes every rank of verify is decided by the peel
     assert all(r["rref_calls"] == 0 for r in rows["rows"] if r["layer"] != "rref()[1]")
+    if int(path.stem.split("_")[1]) >= 14:
+        assert {r["ell"] for r in rows["rows"] if r["layer"] == PRODUCT_LAYER} == {16, 27, 81}

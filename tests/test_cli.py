@@ -79,6 +79,30 @@ def test_malformed_json_is_usage_error(tmp_path, instance_files, capsys):
         assert "Traceback" not in out + err
 
 
+def test_deeply_nested_value_gives_a_short_error(family_file, instance_files, capsys):
+    # 900 levels load, but the whole value would print about 1,800 characters
+    deep = "[" * 900 + "0" + "]" * 900
+    payload = json.loads(family_file.read_text())
+    payload["maps"][0][0]["data"][0][0] = "DEEP"
+    entry = family_file.parent / "deep_entry.json"
+    entry.write_text(json.dumps(payload).replace('"DEEP"', deep))
+    payload["p"] = "DEEP"
+    field = family_file.parent / "deep_p.json"
+    field.write_text(json.dumps(payload).replace('"DEEP"', deep))
+    code_path, scheme_path = instance_files
+    scheme = json.loads(scheme_path.read_text())
+    scheme["kind"] = "DEEP"
+    kind = family_file.parent / "deep_kind.json"
+    kind.write_text(json.dumps(scheme).replace('"DEEP"', deep))
+    for argv in (["verify", "--in", entry], ["verify", "--in", field],
+                 ["repair-check", "--code", code_path, "--scheme", kind]):
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert len(err.rstrip("\n")) < 200
+        assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("command", ["verify", "bound", "decay"])
 @pytest.mark.parametrize("entry", [1.5, "1", True])
 def test_malformed_map_entry_is_input_error(family_file, command, entry, capsys):

@@ -2,14 +2,15 @@
 definitions they replace.
 
 Subspace.coordinates decides membership from the reduced basis with one
-product; verify() decides alignment by the same rule on each block of
-one residual per member and map row, plus a dimension check, and
-regeneration with one rank of that residual at H's free columns; and
+product; verify() decides alignment from each member's residual at its free
+columns, taken for r members at a time through stacked products, plus a
+dimension check, and regeneration with one rank of those residuals; and
 construct_tensor_family builds every basis and map from Kronecker products.
 The oracles below are the definitions: membership as the rank of the
 stacked bases, alignment as apply_map(phi) == H, regeneration as
 is_direct_sum_full over the apply_map images, and the tensor family built
-row by row, with one ell x ell inverse per excluded index.
+row by row, with one ell x ell inverse per excluded index. reference_verify
+keeps the per-member, per-map-row verify() that the chunks replaced.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 import numpy as np
 import pytest
 
-from msrlab import msr_family
+from msrlab import matrix, msr_family
 from msrlab.errors import AmbientMismatch, MixedFields
 from msrlab.field import FieldSpec
 from msrlab.invariant import composition_isomorphism_check, decay_trace
@@ -70,6 +71,48 @@ def assert_same_report(family: MsrSubspaceFamily):
     assert dict(got.direct_sum) == want.direct_sum
     assert dict(got.alignment) == want.alignment
     assert got.to_json_dict() == want.to_json_dict()
+    assert got.summary_lines() == want.summary_lines()
+
+
+def reference_verify(family: MsrSubspaceFamily) -> VerificationReport:
+    """verify() as it was computed before members went in chunks: per member
+    and map row, the images through Matrix products and the residual
+    Y - Y[:, P] @ H, with alignment keys in the same member-major order."""
+    ell, d, spec = family.ell, family.ell // family.r, family.spec
+    invertible = {}
+    for i, row in enumerate(family.maps):
+        for j, phi in enumerate(row, start=1):
+            invertible[(i, j)] = phi.rank() == ell
+    direct_sum = {i: d == ell for i in range(family.k)}
+    alignment = {}
+    for other, row in enumerate(family.maps):
+        if not row:
+            continue
+        maps = row[0] if len(row) == 1 else Matrix.hstack(row)
+        for i, sub in enumerate(family.subspaces):
+            images = (sub.basis @ maps)._a.reshape(d, -1, ell).swapaxes(0, 1).reshape(-1, ell)
+            coords = Matrix._adopt(spec, images[:, sub._pivots])
+            residual = (images - (coords @ sub.basis)._a) % spec.p
+            if other == i:
+                free = sub.basis._free_columns(sub._pivots)
+                direct_sum[i] = d + Matrix._adopt(spec, residual[:, free]).rank() == ell
+                continue
+            for j in range(1, family.r):
+                block = slice((j - 1) * d, j * d)
+                alignment[(i, other, j)] = not residual[block].any() and (
+                    invertible[(other, j)] or Matrix._adopt(spec, coords._a[block]).rank() == d
+                )
+    return VerificationReport(
+        ell=ell, r=family.r, k=family.k, invertible=invertible, direct_sum=direct_sum,
+        alignment={key: alignment[key] for key in sorted(alignment)},
+    )
+
+
+def assert_same_as_reference(family: MsrSubspaceFamily):
+    got, want = family.verify(), reference_verify(family)
+    for field in ("invertible", "direct_sum", "alignment"):
+        assert list(getattr(got, field).items()) == list(getattr(want, field).items())
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
     assert got.summary_lines() == want.summary_lines()
 
 
@@ -231,6 +274,49 @@ def test_verify_matches_definition_on_constructed_and_broken_families():
         assert_same_report(bad)
 
 
+@pytest.mark.parametrize("p", [3, 5, 11, 65537, 2**31 - 1])
+def test_verify_matches_the_reference_on_the_sweep_grid(p):
+    for r in (2, 3):
+        for m in (1, 2, 3, 4):
+            family = construct_tensor_family(r, m, FieldSpec(p), 2)
+            assert_same_as_reference(family)
+            assert family.verify().ok
+
+
+def with_map(family, i, j, phi) -> MsrSubspaceFamily:
+    maps = [list(row) for row in family.maps]
+    maps[i][j - 1] = phi
+    return MsrSubspaceFamily(family.ell, family.r, family.spec, family.subspaces, maps)
+
+
+def with_member(family, i, sub) -> MsrSubspaceFamily:
+    subspaces = list(family.subspaces)
+    subspaces[i] = sub
+    return MsrSubspaceFamily(family.ell, family.r, family.spec, subspaces, family.maps)
+
+
+@pytest.mark.parametrize("p", [3, 5, 2**31 - 1])
+def test_verify_matches_the_reference_on_broken_families(p):
+    # one map entry perturbed, one map zeroed, or one member replaced by a
+    # random subspace of the same dimension, each at a random place
+    spec, rng = FieldSpec(p), random.Random(p + 7)
+    failed = 0
+    for r, m in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
+        family = construct_tensor_family(r, m, spec, 2)
+        ell, d = family.ell, family.ell // r
+        for _ in range(4):
+            i, j = rng.randrange(family.k), rng.randrange(1, r)
+            entries = family.maps[i][j - 1].to_lists()
+            entries[rng.randrange(ell)][rng.randrange(ell)] += rng.randrange(1, p)
+            sub = Subspace.span_of(Matrix(spec, random_invertible(spec, ell, rng).to_lists()[:d]))
+            for bad in (with_map(family, i, j, Matrix(spec, entries)),
+                        with_map(family, i, j, Matrix.zeros(spec, ell, ell)),
+                        with_member(family, rng.randrange(family.k), sub)):
+                assert_same_as_reference(bad)
+                failed += not bad.verify().ok
+    assert failed >= 40  # most breaks are caught, so both verdicts are compared
+
+
 def test_verify_runs_once_per_family(monkeypatch):
     checks = []
     real = msr_family.VerificationReport
@@ -267,18 +353,27 @@ def test_verify_ranks_each_regeneration_stack_once(monkeypatch):
     assert [mat.shape for mat in stacks] == [((family.r - 1) * d, family.ell - d)] * family.k
 
 
-def test_verify_makes_two_products_per_member_and_map_row(monkeypatch):
+def test_verify_makes_two_products_per_chunk_map_and_slot(monkeypatch):
+    # members go in chunks of r: two kernel products per chunk, map row and
+    # slot, at most 2 (r-1) k ceil(k/r) in all
     rng = random.Random(4)
     families = [construct_tensor_family(3, 2, GF5, 2), construct_tensor_family(2, 3, GF3, 2),
                 eigen_family(GF5, 6, 3, 4, rng), eigen_family(BIG, 4, 2, 3, rng)]
     products = []
-    real = Matrix.__matmul__
-    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or real(a, b))
+    real = matrix._product
+
+    def counted(a, b, p):
+        products.append(1)
+        return real(a, b, p)
+
+    monkeypatch.setattr(matrix, "_product", counted)
+    monkeypatch.setattr(msr_family, "_product", counted)
     monkeypatch.setattr(Subspace, "coordinates", lambda *args: pytest.fail("coordinates called"))
     for family in families:
         products.clear()
         family.verify()
-        assert 0 < len(products) <= 2 * family.k * family.k
+        chunks = -(-family.k // family.r)
+        assert 0 < len(products) <= 2 * (family.r - 1) * family.k * chunks
 
 
 @pytest.mark.parametrize("spec", [GF5, BIG], ids=lambda s: f"p{s.p}")

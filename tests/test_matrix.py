@@ -254,6 +254,47 @@ def test_empty_products():
         assert a @ b == Matrix.zeros(GF5, rows, cols)
 
 
+# (batch, rows, inner, cols): below and above 4096 multiply-adds, an empty
+# inner dimension, and an inner size that takes three limb blocks at
+# p = 2**31 - 1; b of cols None is one 2-D matrix for every slice
+STACKED_SHAPES = [(3, 8, 16, 8), (3, 16, 16, 16), (2, 40, 3, 40), (4, 6, 20, 3),
+                  (2, 3, 0, 4), (3, 16, 16, None), (2, 1, 70_000, 1)]
+
+
+@pytest.mark.parametrize("p", [3, 65537, 2**31 - 1])
+def test_stacked_product_matches_slices_and_python_ints(monkeypatch, p):
+    spec, rng = FieldSpec(p), np.random.default_rng(p)
+    paths = set()
+    seen = []
+
+    class NumpySpy:  # float32 is reached for only on the float path, zeros on the limb path
+        def __getattr__(self, name):
+            seen.append(name)
+            return getattr(np, name)
+
+    for batch, rows, inner, cols in STACKED_SHAPES:
+        a = rng.integers(0, p, (batch, rows, inner), dtype=np.int64)
+        b = rng.integers(0, p, (batch, inner, cols) if cols else (inner, 5), dtype=np.int64)
+        a_before, b_before = a.copy(), b.copy()
+        monkeypatch.setattr(matrix_module, "np", NumpySpy())
+        seen.clear()
+        prod = matrix_module._product(a, b, p)
+        monkeypatch.setattr(matrix_module, "np", np)
+        paths.add("float32" if "float32" in seen else "limbs" if "zeros" in seen else "int64")
+        assert prod.dtype == np.int64 and prod.shape == (batch, rows, b.shape[-1])
+        assert np.all((prod >= 0) & (prod < p))
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+        for t in range(batch):
+            right = b[t] if b.ndim == 3 else b
+            whole = Matrix._adopt(spec, a[t].copy()) @ Matrix._adopt(spec, right.copy())
+            assert np.array_equal(prod[t], whole._a)
+            want = (python_matmul(a[t].tolist(), right.tolist(), p) if inner
+                    else [[0] * right.shape[1]] * rows)
+            assert prod[t].tolist() == want
+    # 3 takes float32 above 4096 multiply-adds, 65537 int64, 2**31 - 1 limbs
+    assert paths == {3: {"float32", "int64"}, 65537: {"int64"}, 2**31 - 1: {"limbs", "int64"}}[p]
+
+
 def test_transpose():
     a = Matrix(GF3, [[1, 2, 0], [0, 1, 1]])
     assert a.transpose().to_lists() == [[1, 0], [2, 1], [0, 1]]
