@@ -15,11 +15,17 @@ row's times are seconds per call: each repeat times one pass over the group
 and divides by its size. `rref_calls` counts the eliminations one pass
 makes. One more row per ell times the whole library verify() of the family,
 whose shape is (k, ell).
+
+Every row also names the code it measured: `source_sha256` is the sha256
+of the files `src/msrlab/*.py` concatenated in sorted name order, which
+can be recomputed at any commit. `commit` and `dirty` only say where the
+checkout stood, and a BENCH file is written before its change is committed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -53,6 +59,12 @@ def git(*args: str) -> str:
     return out.stdout.strip() if out.returncode == 0 else ""
 
 
+def source_sha256() -> str:
+    """sha256 of src/msrlab/*.py, the files concatenated in sorted name order."""
+    files = sorted((ROOT / "src" / "msrlab").glob("*.py"))
+    return hashlib.sha256(b"".join(path.read_bytes() for path in files)).hexdigest()
+
+
 def machine() -> dict:
     return {
         "nproc": len(os.sched_getaffinity(0)),
@@ -61,6 +73,7 @@ def machine() -> dict:
         "commit": git("rev-parse", "HEAD") or "unknown",
         # uncommitted edits to tracked files: the commit alone does not name the code
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "source_sha256": source_sha256(),
     }
 
 
@@ -121,7 +134,7 @@ def rows_for(ell: int, r: int, m: int, repeats: int, stamp: dict) -> list[dict]:
                          **timed(one_pass, repeats, len(mats)), **stamp})
 
     def verify():
-        family._report = None  # verify() caches its report
+        object.__setattr__(family, "_report", None)  # verify() caches its report
         family.verify()
 
     rows.append({"layer": "MsrSubspaceFamily.verify", "ell": ell, "shape": [family.k, ell],

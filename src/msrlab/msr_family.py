@@ -10,17 +10,17 @@ from the right. Two properties make the family useful:
   * alignment: phi[i'][j](H_i) = H_i whenever i' != i.
 
 verify() recomputes both properties, and the invertibility of every map,
-from scratch; nothing is trusted from construction time. A family is
-immutable, so its report is computed once and kept. Every verified
-family obeys the size bound k <= 4 r ln(ell), that is ell >= e^(k/4r),
-which bound_check() decides with exact partial sums of the exponential
-series rather than floats.
+from scratch; nothing is trusted from construction time. Families and
+subspaces are frozen dataclasses, so a report is computed once and kept.
+Every verified family obeys the size bound k <= 4 r ln(ell), that is
+ell >= e^(k/4r), which bound_check() decides with exact partial sums of
+the exponential series rather than floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -31,6 +31,11 @@ from .errors import BadLambda, BadParams, FieldTooSmall, StructuralError
 from .field import FieldElement, FieldSpec
 from .matrix import Matrix, _product, loaded
 from .subspace import Subspace, is_direct_sum_full  # noqa: F401 (msrbench traces this binding)
+
+
+def _failures(checks: Mapping) -> tuple:
+    """The keys of the checks that failed, sorted."""
+    return tuple(sorted(key for key, good in checks.items() if not good))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,15 +64,15 @@ class VerificationReport:
 
     @property
     def noninvertible(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(key for key, good in self.invertible.items() if not good))
+        return _failures(self.invertible)
 
     @property
     def direct_sum_failures(self) -> tuple[int, ...]:
-        return tuple(sorted(i for i, good in self.direct_sum.items() if not good))
+        return _failures(self.direct_sum)
 
     @property
     def alignment_failures(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(sorted(key for key, good in self.alignment.items() if not good))
+        return _failures(self.alignment)
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -111,20 +116,25 @@ class BoundReport:
         return asdict(self)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class MsrSubspaceFamily:
     """k subspaces of F^ell (dim ell/r each) with an (r-1)-slot map grid."""
 
-    __slots__ = ("ell", "r", "spec", "subspaces", "maps", "_report")
+    ell: int
+    r: int
+    spec: FieldSpec
+    subspaces: tuple[Subspace, ...]
+    maps: tuple[tuple[Matrix, ...], ...]
+    _report: VerificationReport | None = field(default=None, init=False, compare=False)
 
-    def __init__(self, ell, r, spec, subspaces, maps):
-        subspaces = tuple(subspaces)
-        maps = tuple(tuple(row) for row in maps)
+    def __post_init__(self):
+        object.__setattr__(self, "subspaces", tuple(self.subspaces))
+        object.__setattr__(self, "maps", tuple(tuple(row) for row in self.maps))
+        ell, r, spec, subspaces, maps = self.ell, self.r, self.spec, self.subspaces, self.maps
         if r < 1 or ell < 1 or ell % r != 0:
             raise StructuralError(f"need r >= 1 dividing ell, got ell={ell}, r={r}")
         if len(maps) != len(subspaces):
-            raise StructuralError(
-                f"{len(subspaces)} subspaces but {len(maps)} map rows"
-            )
+            raise StructuralError(f"{len(subspaces)} subspaces but {len(maps)} map rows")
         for i, sub in enumerate(subspaces):
             if sub.spec != spec:
                 raise StructuralError(f"subspace {i} over {sub.spec!r}, family over {spec!r}")
@@ -140,12 +150,6 @@ class MsrSubspaceFamily:
                     raise StructuralError(f"map ({i},{j}) over {phi.spec!r}")
                 if phi.shape != (ell, ell):
                     raise StructuralError(f"map ({i},{j}) has shape {phi.shape}")
-        self.ell = ell
-        self.r = r
-        self.spec = spec
-        self.subspaces = subspaces
-        self.maps = maps
-        self._report = None
 
     @property
     def k(self) -> int:
@@ -208,7 +212,7 @@ class MsrSubspaceFamily:
                     rank = Matrix._adopt(self.spec, np.concatenate(regeneration)).rank()
                     direct_sum[other] = d + rank == ell
         alignment = {key: alignment[key] for key in sorted(alignment)}  # member-major
-        self._report = VerificationReport(
+        report = VerificationReport(
             ell=self.ell,
             r=self.r,
             k=self.k,
@@ -216,7 +220,8 @@ class MsrSubspaceFamily:
             direct_sum=MappingProxyType(direct_sum),
             alignment=MappingProxyType(alignment),
         )
-        return self._report
+        object.__setattr__(self, "_report", report)
+        return report
 
     def bound_check(self) -> BoundReport:
         within = compare_to_log_multiple(self.k, Fraction(4 * self.r), self.ell) < 0
@@ -227,20 +232,6 @@ class MsrSubspaceFamily:
             bound_approx=4 * self.r * math.log(self.ell),
             within_bound=within,
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MsrSubspaceFamily):
-            return NotImplemented
-        return (
-            self.ell == other.ell
-            and self.r == other.r
-            and self.spec == other.spec
-            and self.subspaces == other.subspaces
-            and self.maps == other.maps
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ell, self.r, self.subspaces, self.maps))
 
     def to_json_dict(self) -> dict:
         return {

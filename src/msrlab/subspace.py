@@ -11,6 +11,7 @@ annihilators, and dualizing twice comes back to the start.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AmbientMismatch, MixedFields, ShapeMismatch
@@ -18,10 +19,14 @@ from .field import FieldSpec
 from .matrix import Matrix, loaded
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Subspace:
     """A subspace of F^ambient_dim with a canonical RREF basis."""
 
-    __slots__ = ("spec", "ambient_dim", "basis", "_pivots")
+    spec: FieldSpec
+    ambient_dim: int
+    basis: Matrix
+    _pivots: tuple[int, ...]  # follows from basis, so equality is unchanged
 
     def __init__(self, spec: FieldSpec, ambient_dim: int, generators: Matrix):
         if generators.spec != spec:
@@ -31,10 +36,10 @@ class Subspace:
                 f"generators have width {generators.cols}, ambient is {ambient_dim}"
             )
         reduced, rank, pivots = generators.rref()
-        self.spec = spec
-        self.ambient_dim = ambient_dim
-        self.basis = Matrix._adopt(spec, reduced._a[:rank].copy())
-        self._pivots = pivots
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", Matrix._adopt(spec, reduced._a[:rank].copy()))
+        object.__setattr__(self, "_pivots", pivots)
 
     @classmethod
     def span_of(cls, generators: Matrix) -> Subspace:
@@ -123,18 +128,6 @@ class Subspace:
     def contains(self, other: Subspace) -> bool:
         self._check_compatible(other)
         return self.coordinates(other.basis) is not None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,9 +1,11 @@
 """bench/make_bench.py in its tiny mode, and the schema of the BENCH files
 it writes, the committed ones included; files from BENCH_14.json on also
-time the product kernel."""
+time the product kernel, and files written from now on name the source
+they measured by its sha256 (BENCH_12 and BENCH_14 predate that key)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -22,7 +24,7 @@ def check_schema(payload: dict, ells: set[int], repeats: int | None = None):
     assert list(payload) == ["rows"]
     rows = payload["rows"]
     for row in rows:
-        assert list(row) == ROW_KEYS
+        assert list(row) in (ROW_KEYS, ROW_KEYS + ["source_sha256"])
         assert row["layer"] in RANK_LAYERS | {"MsrSubspaceFamily.verify", PRODUCT_LAYER}
         assert row["ell"] in ells
         # a product's shape is rows, inner, cols, led by the batch when stacked
@@ -51,6 +53,8 @@ def test_tiny_mode_writes_the_schema(tmp_path):
     payload = json.loads(out.read_text())
     check_schema(payload, {4, 8}, repeats=1)
     assert {r["ell"] for r in payload["rows"] if r["layer"] == PRODUCT_LAYER} == {4, 8}
+    source = b"".join(path.read_bytes() for path in sorted((ROOT / "src" / "msrlab").glob("*.py")))
+    assert {r.get("source_sha256") for r in payload["rows"]} == {hashlib.sha256(source).hexdigest()}
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -61,3 +65,5 @@ def test_committed_bench_files_keep_the_schema(path):
     assert all(r["rref_calls"] == 0 for r in rows["rows"] if r["layer"] != "rref()[1]")
     if int(path.stem.split("_")[1]) >= 14:
         assert {r["ell"] for r in rows["rows"] if r["layer"] == PRODUCT_LAYER} == {16, 27, 81}
+    if int(path.stem.split("_")[1]) > 14:
+        assert all("source_sha256" in r for r in rows["rows"])

@@ -10,7 +10,7 @@ import pytest
 
 from msrlab import cli
 from msrlab.cli import _ell_within, main
-from msrlab.errors import CeilingExceeded
+from msrlab.errors import CeilingExceeded, LemmaViolation
 from msrlab.matrix import Matrix
 from msrlab.msr_family import MsrSubspaceFamily
 from msrlab.repair import ConstantRepairScheme, evenodd_constant_instance, random_constant_instance
@@ -188,6 +188,84 @@ def test_malformed_code_and_scheme_fields_are_input_errors(instance_files, capsy
         assert code == 2, (field, value)
         assert err.startswith(f"error: {field} must be")
         assert "Traceback" not in out + err
+
+
+def scheme_payload(kind, p, grid):
+    """A scheme file whose repair matrices are given as lists of rows."""
+    def as_matrix(rows):
+        return {"rows": len(rows), "cols": len(rows[0]), "p": p, "data": rows}
+
+    if kind == "constant":
+        return {"kind": kind, "p": p, "repair": [as_matrix(rows) for rows in grid]}
+    return {"kind": kind, "p": p, "repair": [[as_matrix(rows) for rows in row] for row in grid]}
+
+
+EYE3 = {"rows": 3, "cols": 3, "p": 2, "data": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+BOTH = ("repair-check", "extract")
+
+
+@pytest.mark.parametrize("edit_code, scheme, commands, message", [
+    (lambda code: code.update(n=4, parity=code["parity"] + code["parity"][:1]), None, BOTH,
+     "r = 3 does not divide ell = 2"),
+    (None, scheme_payload("general", 2, [[[[1, 0]]]]), ("repair-check",),
+     "repair grid is 1x1, expected 2x1"),
+    (None, scheme_payload("constant", 3, [[[1, 0]]]), BOTH,
+     "repair matrix for node 0 over GF(3)"),
+    (None, scheme_payload("constant", 2, [[[1, 0, 0]]]), BOTH,
+     "repair matrix for node 0 has shape (1, 3), expected (1, 2)"),
+    (None, scheme_payload("constant", 2, []), BOTH, "scheme with no repair matrices"),
+    (None, scheme_payload("general", 2, []), BOTH, "scheme with no repair matrices"),
+    (None, scheme_payload("general", 2, [[[[1, 0]], [[0, 1]]], [[[1, 0]]]]), BOTH,
+     "ragged repair matrix grid"),
+    (lambda code: code.update(ell=0), None, BOTH, "need ell >= 1, got 0"),
+    (lambda code: code.update(parity=[row * 2 for row in code["parity"]]), None, BOTH,
+     "parity row 0 has 2 blocks, expected 1"),
+    (lambda code: code.update(parity=[[EYE3]] + code["parity"][1:]), None, BOTH,
+     "parity block (0,0) has shape (3, 3)"),
+])
+def test_code_or_scheme_that_does_not_fit_is_an_input_error(
+    edit_code, scheme, commands, message, instance_files, capsys
+):
+    # the evenodd constant instance: n = 3, k = 1, ell = 2 over GF(2)
+    code_path, scheme_path = instance_files
+    if edit_code is not None:
+        code = json.loads(code_path.read_text())
+        edit_code(code)
+        code_path.write_text(json.dumps(code))
+    if scheme is not None:
+        scheme_path.write_text(json.dumps(scheme))
+    for command in commands:
+        status, out, err = run(capsys, command, "--code", str(code_path), "--scheme", str(scheme_path))
+        assert (status, out, err) == (2, "", f"error: {message}\n"), command
+
+
+def test_family_member_outside_the_ambient_space_is_an_input_error(family_file, capsys):
+    payload = json.loads(family_file.read_text())
+    payload["subspaces"][0] = {"ambient": 3, "p": 3, "basis": [[1, 0, 0]]}
+    family_file.write_text(json.dumps(payload))
+    for command in ("verify", "bound", "decay"):
+        status, out, err = run(capsys, command, "--in", str(family_file))
+        assert (status, out, err) == (2, "", "error: subspace 0 lives in F^3, not F^4\n")
+
+
+def test_decay_violation_is_a_checked_failure(family_file, monkeypatch, capsys):
+    def violated(family, order=None):
+        raise LemmaViolation("invariant dim rose at t = 2", {"t": 2, "dims": [16, 12, 13]})
+
+    monkeypatch.setattr(cli, "decay_trace", violated)
+    status, out, err = run(capsys, "decay", "--in", str(family_file))
+    assert (status, err) == (1, "")
+    assert json.loads(out) == {
+        "failure": "decay-violation",
+        "message": "invariant dim rose at t = 2",
+        "payload": {"t": 2, "dims": [16, 12, 13]},
+    }
+
+
+def test_sweep_list_that_is_not_integers_is_a_usage_error(capsys):
+    status, out, err = run(capsys, "sweep", "--r-list", "2,x")
+    assert (status, out) == (2, "")
+    assert err == "error: expected comma-separated integers, got '2,x'\n"
 
 
 def test_ceiling_exceeded(tmp_path, capsys):

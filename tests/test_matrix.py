@@ -507,6 +507,10 @@ def test_json_round_trip():
         Matrix.from_json_dict(payload, GF3)
     with pytest.raises(ShapeMismatch):
         Matrix.from_json_dict({"rows": 1, "cols": 2, "p": 5, "data": [[1]]})
+    zero = Matrix.zeros(GF5, 0, 3)
+    payload = zero.to_json_dict()
+    assert payload == {"rows": 0, "cols": 3, "p": 5, "data": []}
+    assert Matrix.from_json_dict(payload) == zero
 
 
 def test_results_are_frozen_and_unshared():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import decimal
+import json
 import math
 import random
 from fractions import Fraction
@@ -98,6 +100,33 @@ def test_structural_validation():
             ell=2, r=2, spec=GF3, subspaces=(line([1, 0]),),
             maps=((Matrix(GF3, [[1, 0]]),),),
         )
+    for subspace, phi, message in [
+        (Subspace.span_of(Matrix(GF5, [[1, 0]])), SWAP3, "subspace 0 over GF(5), family over GF(3)"),
+        (Subspace.span_of(Matrix(GF3, [[1, 0, 0]])), SWAP3, "subspace 0 lives in F^3, not F^2"),
+        (line([1, 0]), Matrix(GF5, [[0, 1], [1, 0]]), "map (0,1) over GF(5)"),
+    ]:
+        with pytest.raises(StructuralError) as caught:
+            MsrSubspaceFamily(ell=2, r=2, spec=GF3, subspaces=[subspace], maps=[[phi]])
+        assert str(caught.value) == message
+
+
+def test_families_and_subspaces_are_frozen():
+    family = construct_tensor_family(2, 2, GF3, 2)
+    report = family.verify()
+    duplicated = family.subspaces[:1] * family.k  # would fail alignment
+    for name, value in [("ell", 8), ("r", 4), ("spec", GF5), ("subspaces", duplicated),
+                        ("maps", ()), ("_report", None)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(family, name, value)
+    member = family.subspaces[0]
+    for name in ("spec", "ambient_dim", "basis", "_pivots"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(member, name, Subspace.full(GF3, 3).basis)
+    assert family.verify() is report and report.ok
+    clone = MsrSubspaceFamily.from_json_dict(json.loads(json.dumps(family.to_json_dict())))
+    assert clone == family and hash(clone) == hash(family)
+    assert {family: "original"}[clone] == "original"
+    assert not hasattr(family, "__dict__") and not hasattr(member, "__dict__")
 
 
 def test_noninvertible_map_reported_not_raised():

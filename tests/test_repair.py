@@ -112,6 +112,14 @@ def test_code_structural_checks():
         VectorCodeSystematic(n=4, k=2, ell=2, spec=GF2, parity=((eye, eye),))
     with pytest.raises(StructuralError):  # need k < n
         VectorCodeSystematic(n=2, k=2, ell=2, spec=GF2, parity=())
+    for parity, ell, message in [
+        (((), ()), 0, "need ell >= 1, got 0"),
+        (((eye,), (eye, eye)), 2, "parity row 0 has 1 blocks, expected 2"),
+        (((eye, Matrix.identity(GF3, 2)), (eye, eye)), 2, "parity block (0,1) over GF(3)"),
+        (((eye, Matrix.identity(GF2, 3)), (eye, eye)), 2, "parity block (0,1) has shape (3, 3)"),
+    ]:
+        with pytest.raises(StructuralError, match=exactly(message)):
+            VectorCodeSystematic(n=4, k=2, ell=ell, spec=GF2, parity=parity)
 
 
 def test_code_json_round_trip():
@@ -176,6 +184,26 @@ def test_scheme_shape_validation():
             ConstantRepairScheme((Matrix(GF2, [[1, 0]]), Matrix(GF2, [[0, 0]]))),
             0,
         )
+    top, bottom, eye = Matrix(GF2, [[1, 0]]), Matrix(GF2, [[0, 1]]), Matrix.identity(GF2, 2)
+    for build in (lambda: ConstantRepairScheme(()), lambda: GeneralRepairScheme(()),
+                  lambda: GeneralRepairScheme(((),))):
+        with pytest.raises(SchemeInvalid, match=exactly("scheme with no repair matrices")):
+            build()
+    with pytest.raises(SchemeInvalid, match=exactly("ragged repair matrix grid")):
+        GeneralRepairScheme(((top, bottom), (top,)))
+    r_of_3 = VectorCodeSystematic(n=4, k=1, ell=2, spec=GF2, parity=((eye,),) * 3)
+    for target, scheme, error, message in [
+        (r_of_3, ConstantRepairScheme((top,)), BadParams, "r = 3 does not divide ell = 2"),
+        (code, GeneralRepairScheme(((top, top),)), SchemeInvalid,
+         "repair grid is 1x2, expected 2x2"),
+        (code, object(), TypeError, "unknown scheme type object"),
+        (code, ConstantRepairScheme((Matrix(GF3, [[1, 0]]), Matrix(GF3, [[0, 1]]))),
+         SchemeInvalid, "repair matrix for node 0 over GF(3)"),
+        (code, GeneralRepairScheme(((top, bottom), (top, eye))), SchemeInvalid,
+         "repair matrix (1,1) has shape (2, 2), expected (1, 2)"),
+    ]:
+        with pytest.raises(error, match=exactly(message)):
+            check_msr_scheme(target, scheme, 0)
 
 
 # ---------------------------------------------------------------- cutset
@@ -210,6 +238,16 @@ def test_evenodd_exhaustive_repair():
             assert result.bandwidth.per_helper == tuple(
                 (helper, 1) for helper in range(4) if helper != node
             )
+
+
+def test_bandwidth_report_json():
+    blocks = evenodd_code().encode([(1, 0), (1, 1)])
+    assert evenodd_repair(blocks, 2).bandwidth.to_json_dict() == {
+        "per_helper": [[0, 1], [1, 1], [3, 1]],
+        "total": 3,
+        "cutset_numerator": 3,
+        "cutset_denominator": 1,
+    }
 
 
 def test_evenodd_published_transmissions():
