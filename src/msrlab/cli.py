@@ -327,7 +327,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_cutset(args: argparse.Namespace) -> int:
     value = cutset_bound(args.n, args.k, args.ell)
     print(f"cutset bound: {value.numerator}/{value.denominator}")
-    print(f"decimal: {float(value):.6f}")
+    whole, millionths = divmod(round(value * 10**6), 10**6)  # integers: exact at any size
+    print(f"decimal: {whole}.{millionths:06d}")
     return 0
 
 

@@ -7,6 +7,8 @@ are accepted on the right or left of an operator and are reduced mod p.
 
 from __future__ import annotations
 
+import operator
+import reprlib
 from dataclasses import dataclass
 
 from .errors import DivisionByZero, MixedFields, NotPrime
@@ -52,7 +54,7 @@ class FieldSpec:
         if not isinstance(self.p, int) or isinstance(self.p, bool):
             raise NotPrime(f"modulus must be an int, got {type(self.p).__name__}")
         if not 2 <= self.p <= MAX_MODULUS:
-            raise NotPrime(f"modulus {self.p} outside [2, 2**31 - 1]")
+            raise NotPrime(f"modulus {reprlib.repr(self.p)} outside [2, 2**31 - 1]")
         if not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
 
@@ -79,40 +81,30 @@ class FieldElement:
     def __post_init__(self):
         object.__setattr__(self, "value", int(self.value) % self.spec.p)
 
-    def _lift(self, other):
+    def _combine(self, other, op):
+        """op(self.value, other's value) as an element of this field, for
+        other in the same field or a plain int; NotImplemented otherwise."""
         if isinstance(other, FieldElement):
             if other.spec != self.spec:
                 raise MixedFields(f"cannot mix {self.spec!r} and {other.spec!r}")
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return FieldElement(other, self.spec)
-        return None
+            other = other.value
+        elif not isinstance(other, int) or isinstance(other, bool):
+            return NotImplemented
+        return FieldElement(op(self.value, other), self.spec)
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.value + o.value, self.spec)
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.value - o.value, self.spec)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(o.value - self.value, self.spec)
+        return self._combine(other, lambda x, y: y - x)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.value * o.value, self.spec)
+        return self._combine(other, operator.mul)
 
     __rmul__ = __mul__
 
@@ -125,16 +117,10 @@ class FieldElement:
         return FieldElement(pow(self.value, -1, self.spec.p), self.spec)
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+        return self._combine(other, lambda x, y: x * self.spec.element(y).inv().value)
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
+        return self._combine(other, lambda x, y: y * self.inv().value)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):

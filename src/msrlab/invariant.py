@@ -28,7 +28,7 @@ from .errors import (
     VerificationRequired,
 )
 from .field import FieldSpec
-from .matrix import Matrix
+from .matrix import Matrix, _is_integer
 from .subspace import Subspace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -204,6 +204,8 @@ def decay_trace(
 ) -> DecayTrace:
     """Constrain the family members one by one (in `order`, default the
     family's own order) and record the invariant dimension after each step.
+    An order that is not a permutation of range(k), or has an entry that is
+    not an integer (a float, a string or a bool), raises BadParams.
 
     Every step must drop the dimension by the factor (2r-1)/(2r) at least,
     and the final dimension must stay >= 1; a verified family violating
@@ -214,9 +216,10 @@ def decay_trace(
     if order is None:
         order = tuple(range(k))
     else:
-        order = tuple(int(i) for i in order)
-        if sorted(order) != list(range(k)):
+        order = tuple(order)
+        if not all(map(_is_integer, order)) or sorted(order) != list(range(k)):
             raise BadParams(f"order must be a permutation of range({k})")
+        order = tuple(map(int, order))
     ell, r = family.ell, family.r
     dims = [ell * ell]
     maps = None

@@ -40,12 +40,17 @@ from .errors import BadEntry, MixedFields, ShapeMismatch, Singular
 from .field import FieldElement, FieldSpec
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is no integer here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _coerce_entry(value, spec: FieldSpec) -> int:
     if isinstance(value, FieldElement):
         if value.spec != spec:
             raise MixedFields(f"entry from {value.spec!r} in a {spec!r} matrix")
         return value.value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if _is_integer(value):
         return int(value) % spec.p
     raise TypeError(f"matrix entries must be ints or field elements, got {type(value).__name__}")
 
@@ -421,12 +426,10 @@ class Matrix:
         lists of integers raises BadEntry, not the TypeError of Matrix(...)."""
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise BadEntry("matrix data must be a list of rows")
-        if not all(type(v) is int for row in data for v in row):
-            # rerun the full check only to name the offending value
-            for row in data:
-                for value in row:
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        raise BadEntry(f"matrix entries must be integers, got {reprlib.repr(value)}")
+        for row in data:
+            for value in row:
+                if type(value) is not int:  # a bool is no int here
+                    raise BadEntry(f"matrix entries must be integers, got {reprlib.repr(value)}")
         return cls(spec, data)
 
     def __repr__(self) -> str:

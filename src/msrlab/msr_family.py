@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BadLambda, BadParams, FieldTooSmall, StructuralError
 from .field import FieldElement, FieldSpec
-from .matrix import Matrix, _product, loaded
+from .matrix import Matrix, _is_integer, _product, loaded
 from .subspace import Subspace, is_direct_sum_full  # noqa: F401 (msrbench traces this binding)
 
 
@@ -327,20 +327,24 @@ def construct_tensor_family(
 
     members, if given, lists distinct member indices in range((r+1)*m); only
     those members are built, in that order, and the family holds exactly the
-    subspaces and maps the full family has at those indices. A repeated or
-    out-of-range index raises BadParams.
+    subspaces and maps the full family has at those indices. A repeated,
+    out-of-range or non-integer index raises BadParams, and a scaling that
+    is neither an integer nor an element of spec raises BadLambda.
     """
     size = tensor_family_size(r, m, spec)
     if isinstance(scaling, FieldElement):
         if scaling.spec != spec:
             raise BadLambda(f"scaling over {scaling.spec!r}, family over {spec!r}")
         lam = scaling.value
-    else:
+    elif _is_integer(scaling):
         lam = int(scaling) % spec.p
+    else:
+        raise BadLambda(f"scaling must be an int or field element, got {type(scaling).__name__}")
     if lam in (0, 1):
         raise BadLambda(f"scaling must avoid {{0, 1}}, got {lam} in {spec!r}")
     members = range(size) if members is None else tuple(members)
-    if len(set(members)) != len(members) or not all(0 <= c < size for c in members):
+    in_range = all(_is_integer(c) and 0 <= c < size for c in members)
+    if not in_range or len(set(members)) != len(members):
         raise BadParams(f"members must be distinct indices in range({size}), got {list(members)}")
 
     ell = r**m

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Sequence
@@ -123,10 +123,10 @@ class ConstantRepairScheme:
     """One repair matrix per systematic node, shared by all parity units."""
 
     matrices: tuple[Matrix, ...]
+    _solutions: dict = field(default_factory=dict, init=False, repr=False)  # keyed by (code, node)
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
-        object.__setattr__(self, "_solutions", {})  # (code, node) -> _node_solution
         if not self.matrices:
             raise SchemeInvalid("scheme with no repair matrices")
         for m, mat in enumerate(self.matrices):
@@ -149,12 +149,10 @@ class GeneralRepairScheme:
     """Repair matrices indexed by (parity unit, systematic node)."""
 
     matrices: tuple[tuple[Matrix, ...], ...]
+    _solutions: dict = field(default_factory=dict, init=False, repr=False)  # keyed by (code, node)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "matrices", tuple(tuple(row) for row in self.matrices)
-        )
-        object.__setattr__(self, "_solutions", {})  # (code, node) -> _node_solution
+        object.__setattr__(self, "matrices", tuple(tuple(row) for row in self.matrices))
         if not self.matrices or not self.matrices[0]:
             raise SchemeInvalid("scheme with no repair matrices")
         width = len(self.matrices[0])
@@ -229,6 +227,14 @@ class SchemeReport:
     @property
     def ok(self) -> bool:
         return self.regeneration_ok and all(good for _, good in self.interference_ok)
+
+    def _require_ok(self, scheme_name: str):
+        """Raise SchemeInvalid naming this node's failed conditions, unless ok."""
+        if not self.ok:
+            raise SchemeInvalid(
+                f"{scheme_name} fails at node {self.node}: regeneration_ok={self.regeneration_ok}, "
+                f"interference_ok={list(self.interference_ok)}"
+            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -337,11 +343,7 @@ def repair_node(
     in one solve. Subtracting it leaves the stacked invertible system for m.
     """
     report, inverse, factors = _node_solution(code, scheme, m)
-    if not report.ok:
-        raise SchemeInvalid(
-            f"scheme fails at node {m}: regeneration_ok={report.regeneration_ok}, "
-            f"interference_ok={list(report.interference_ok)}"
-        )
+    report._require_ok("scheme")
     k, r, ell, spec = code.k, code.r, code.ell, code.spec
     if len(blocks) != code.n:
         raise ShapeMismatch(f"{len(blocks)} blocks, expected {code.n}")
@@ -374,13 +376,7 @@ def extract_family(
     _validate_scheme(code, scheme)
     if check_scheme:
         for m in range(code.k):
-            report = check_msr_scheme(code, scheme, m)
-            if not report.ok:
-                raise SchemeInvalid(
-                    f"constant scheme fails at node {m}: "
-                    f"regeneration_ok={report.regeneration_ok}, "
-                    f"interference_ok={list(report.interference_ok)}"
-                )
+            check_msr_scheme(code, scheme, m)._require_ok("constant scheme")
     subspaces = [Subspace.span_of(mat) for mat in scheme.matrices]
     maps = []
     for m in range(code.k):

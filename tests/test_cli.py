@@ -427,6 +427,13 @@ def test_cutset(capsys):
     assert "3/1" in out and "3.000000" in out
     code, _, _ = run(capsys, "cutset", "--n", "4", "--k", "4", "--ell", "2")
     assert code == 2
+    # the bound is an integer, so its decimal line is exact far above 2**53
+    # and above float's range (about 1.8e308)
+    for digits in (23, 400):
+        ell = 10**digits
+        code, out, err = run(capsys, "cutset", "--n", str(ell + 1), "--k", "1", "--ell", str(ell))
+        assert code == 0 and err == ""
+        assert out == f"cutset bound: {ell}/1\ndecimal: {ell}.000000\n"
 
 
 def test_repair_check_and_extract(instance_files, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,12 @@ def test_spec_validation():
             FieldSpec(bad)
     with pytest.raises(NotPrime):
         FieldSpec(3.0)
+    # a huge modulus, as a loaded file may give, is named by a bounded repr
+    with pytest.raises(NotPrime, match=r"^modulus 10+\.\.\.0+ outside") as err:
+        FieldSpec(10**400)
+    assert len(str(err.value)) < 80
+    with pytest.raises(NotPrime, match=r"^modulus -7 outside \[2, 2\*\*31 - 1\]$"):
+        FieldSpec(-7)
 
 
 def test_spec_repr_and_constructors():
@@ -70,6 +78,17 @@ def test_element_operators():
     assert (4 + a).value == 0
     assert (2 * b).value == 3
     assert (1 - a).value == 5
+    assert (3 / a).value == 1
+    assert (3 / b).value == (spec.element(3) * b.inv()).value
+    with pytest.raises(DivisionByZero):
+        a / 0
+    # any other operand is NotImplemented on both sides, so Python raises TypeError
+    for bad in (1.5, "x", True):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(a, bad)
+            with pytest.raises(TypeError):
+                op(bad, a)
 
 
 def test_inverse_and_division_by_zero():
@@ -89,6 +108,10 @@ def test_mixed_fields_rejected():
         a + b
     with pytest.raises(MixedFields):
         a * b
+    with pytest.raises(MixedFields):
+        a - b
+    with pytest.raises(MixedFields):
+        a / b
 
 
 @settings(max_examples=60)

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from msrlab.cli import main
@@ -379,6 +380,10 @@ def test_decay_rejects_bad_order():
         decay_trace(family, [0, 0, 1])
     with pytest.raises(BadParams):
         decay_trace(family, [0, 1])  # wrong length
+    for order in ([0.9, 1.7, 2.2], ["0", "1", "2"], [True, False, 2], [0, 1, 2.0]):
+        with pytest.raises(BadParams):
+            decay_trace(family, order)
+    assert decay_trace(family, [np.int64(2), 0, np.int32(1)]).order == (2, 0, 1)
 
 
 def test_lemma_violation_payload():

@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from msrlab.errors import (
@@ -187,6 +188,10 @@ def test_construction_rejects_bad_params():
         construct_tensor_family(2, 2, GF3, 4)  # 4 = 1 mod 3
     with pytest.raises(BadLambda):
         construct_tensor_family(2, 2, GF3, GF5.element(2))  # wrong field
+    for lam in (2.5, 2.0, "2", None):
+        with pytest.raises(BadLambda):
+            construct_tensor_family(2, 2, GF3, lam)
+    assert construct_tensor_family(2, 2, GF3, np.int64(2)) == construct_tensor_family(2, 2, GF3, 2)
 
 
 def test_construction_builds_only_the_chosen_members():
@@ -201,7 +206,7 @@ def test_construction_builds_only_the_chosen_members():
 
 
 def test_construction_rejects_bad_members():
-    for idx in ([6], [-1], [0, 0], [1, 2, 1]):
+    for idx in ([6], [-1], [0, 0], [1, 2, 1], [0.0, 1.0], ["1"], [True], [[0]]):
         with pytest.raises(BadParams, match=r"distinct indices in range\(6\)"):
             construct_tensor_family(2, 2, GF3, members=idx)
     # the parameter checks come first
