@@ -1,6 +1,6 @@
-"""Per-layer timings of the ranks and products that `verify` takes, written as one BENCH file.
+"""Per-layer timings of what `verify` and `decay_trace` run, written as one BENCH file.
 
-    python3 bench/make_bench.py --out BENCH_14.json           # ell = 16, 27, 81
+    python3 bench/make_bench.py --out BENCH_17.json           # ell = 16, 27, 81
     python3 bench/make_bench.py --tiny --out bench_tiny.json  # ell = 4, 8; one repeat
 
 Run it from the root of a checkout. The inputs are captured, not listed: for
@@ -16,6 +16,17 @@ and divides by its size. `rref_calls` counts the eliminations one pass
 makes. One more row per ell times the whole library verify() of the family,
 whose shape is (k, ell).
 
+Decay is captured the same way: for each ell the script runs
+decay_trace(family, order) along the order of the command line's
+`--order random:7` and keeps every matrix that reaches Matrix.rref, that is
+the kernel of the first Kronecker system and each member's equations,
+grouped by shape. Each group is timed through Matrix.rref, which peels
+singleton rows first, and through `matrix._eliminate`, the per-pivot loop
+alone, on a fresh copy. One `decay_trace` row per ell times the whole
+trace (shape (k, ell)); its runs count their eliminations. The full mode
+adds one ell = 81 decay row at p = 65537 with a single repeat, where every
+large product runs in int64.
+
 Every row also names the code it measured: `source_sha256` is the sha256
 of the files `src/msrlab/*.py` concatenated in sorted name order, which
 can be recomputed at any commit. `commit` and `dirty` only say where the
@@ -29,6 +40,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -41,11 +53,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from msrlab import msr_family  # noqa: E402
 from msrlab.field import FieldSpec  # noqa: E402
-from msrlab.matrix import Matrix, _product  # noqa: E402
+from msrlab.invariant import decay_trace  # noqa: E402
+from msrlab.matrix import Matrix, _eliminate, _product  # noqa: E402
 from msrlab.msr_family import construct_tensor_family  # noqa: E402
 
 P = 3
+LARGE_P = 65537
 REPEATS = 21
+DECAY_REPEATS = 5  # a whole trace at ell = 81 takes seconds
+ORDER_SEED = 7  # the command line's --order random:7
 FAMILIES = {16: (2, 4), 27: (3, 3), 81: (3, 4)}  # ell: (r, m), ell = r**m
 TINY_FAMILIES = {4: (2, 2), 8: (2, 3)}
 LAYERS = {"Matrix.rank": Matrix.rank, "rref()[1]": lambda mat: mat.rref()[1]}
@@ -88,15 +104,20 @@ def timed(call, repeats: int, per: int) -> dict:
     return {"repeats": repeats, "median_s": median, "iqr_s": [q1, q3]}
 
 
-def count_rref(call) -> int:
-    """Eliminations made by one call."""
+def eliminated(call) -> list[Matrix]:
+    """Every matrix that reaches Matrix.rref during one call."""
     real, seen = Matrix.rref, []
-    Matrix.rref = lambda self: seen.append(1) or real(self)
+    Matrix.rref = lambda self: seen.append(self) or real(self)
     try:
         call()
     finally:
         Matrix.rref = real
-    return len(seen)
+    return seen
+
+
+def count_rref(call) -> int:
+    """Eliminations made by one call."""
+    return len(eliminated(call))
 
 
 def rows_for(ell: int, r: int, m: int, repeats: int, stamp: dict) -> list[dict]:
@@ -143,14 +164,61 @@ def rows_for(ell: int, r: int, m: int, repeats: int, stamp: dict) -> list[dict]:
     return rows
 
 
+def decay_inputs(r: int, m: int, p: int) -> tuple:
+    """The verified ell = r**m tensor family over GF(p) and the order of
+    `--order random:7`. verify() keeps its report, so decay does not rerun it."""
+    family = construct_tensor_family(r, m, FieldSpec(p))
+    if not family.verify().ok:
+        raise SystemExit(f"the ell = {family.ell} tensor family does not verify")
+    order = list(range(family.k))
+    random.Random(ORDER_SEED).shuffle(order)
+    return family, order
+
+
+def decay_row(ell: int, r: int, m: int, p: int, repeats: int, stamp: dict) -> dict:
+    """The whole decay_trace of the ell = r**m family over GF(p)."""
+    family, order = decay_inputs(r, m, p)
+    counts = []
+    times = timed(lambda: counts.append(count_rref(lambda: decay_trace(family, order))), repeats, 1)
+    return {"layer": "decay_trace", "ell": ell, "shape": [family.k, ell], "inputs": 1, "p": p,
+            "rref_calls": counts[0], **times, **stamp}
+
+
+def rref_rows(ell: int, r: int, m: int, repeats: int, stamp: dict) -> list[dict]:
+    """Matrix.rref and the per-pivot loop alone on the matrices decay eliminates."""
+    family, order = decay_inputs(r, m, P)
+    groups: dict[tuple[int, int], list[Matrix]] = {}
+    for mat in eliminated(lambda: decay_trace(family, order)):
+        groups.setdefault(mat.shape, []).append(mat)
+    layers = {"Matrix.rref": lambda mat: mat.rref(),
+              "matrix._eliminate": lambda mat: _eliminate(mat._a.copy(), P)}
+    rows = []
+    for shape, mats in groups.items():
+        for layer, reduce in layers.items():
+            def one_pass(reduce=reduce, mats=mats):
+                for mat in mats:
+                    reduce(mat)
+            rows.append({"layer": layer, "ell": ell, "shape": list(shape), "inputs": len(mats),
+                         "p": P, "rref_calls": count_rref(one_pass),
+                         **timed(one_pass, repeats, len(mats)), **stamp})
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON file to write")
     parser.add_argument("--tiny", action="store_true", help="ell = 4 and 8, one repeat")
     args = parser.parse_args(argv)
     families, repeats = (TINY_FAMILIES, 1) if args.tiny else (FAMILIES, REPEATS)
+    decay_repeats = 1 if args.tiny else DECAY_REPEATS
     stamp = machine()
-    rows = [row for ell, (r, m) in families.items() for row in rows_for(ell, r, m, repeats, stamp)]
+    rows = []
+    for ell, (r, m) in families.items():
+        rows += rows_for(ell, r, m, repeats, stamp)
+        rows += rref_rows(ell, r, m, repeats, stamp)
+        rows.append(decay_row(ell, r, m, P, decay_repeats, stamp))
+    if not args.tiny:
+        rows.append(decay_row(81, *FAMILIES[81], LARGE_P, 1, stamp))
     Path(args.out).write_text(json.dumps({"rows": rows}, indent=1) + "\n")
     return 0
 

@@ -2,7 +2,9 @@
 
 A FieldSpec pins down the modulus once; elements keep a reference to their
 spec and refuse to mix with elements of any other spec. Plain Python ints
-are accepted on the right or left of an operator and are reduced mod p.
+are accepted on the right or left of an operator and are reduced mod p. An
+element's value is a Python or numpy integer; a float, a string or a bool
+raises TypeError instead of being truncated or parsed.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import operator
 import reprlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DivisionByZero, MixedFields, NotPrime
 
@@ -42,6 +46,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is no integer here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,8 @@ class FieldElement:
     spec: FieldSpec
 
     def __post_init__(self):
+        if not _is_integer(self.value):
+            raise TypeError(f"field elements must be ints, got {type(self.value).__name__}")
         object.__setattr__(self, "value", int(self.value) % self.spec.p)
 
     def _combine(self, other, op):

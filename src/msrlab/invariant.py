@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     AmbientMismatch,
     BadParams,
@@ -27,8 +29,8 @@ from .errors import (
     MixedFields,
     VerificationRequired,
 )
-from .field import FieldSpec
-from .matrix import Matrix, _is_integer
+from .field import FieldSpec, _is_integer
+from .matrix import Matrix, _product
 from .subspace import Subspace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,15 +104,22 @@ def _restrict(maps: Matrix | None, constraint: MapConstraint) -> Matrix | None:
     reduced, rank, pivots = Matrix._adopt(spec, work).rref()
     # C is 1 at its free columns and minus the reduced rows at its pivots,
     # so C @ maps = maps[free] - R[:, free]^T @ maps[pivots], and C is never
-    # built. The product comes before the copy of maps[free], so that copy
-    # never lives alongside the equations or the product's inputs.
+    # built. Only the nonzero rows and columns of R[:, free] take part: a
+    # peeled pivot's row is zero there, and when every row is, the product
+    # is empty and the result is maps[free]. The product comes before the
+    # copy of maps[free], so that copy never lives alongside the equations
+    # or the product's inputs. The kernel's own fresh, writable result takes
+    # the sum in place, where a frozen Matrix product would need a copy.
     free = reduced._free_columns(pivots)
-    work = -reduced._a[:rank, free].T % spec.p
+    work = reduced._a[:rank, free]
     del reduced
-    work = (Matrix._adopt(spec, work) @ Matrix._adopt(spec, maps._a[list(pivots)]))._a
+    rows, cols = work.any(1), work.any(0)
+    work = -work[rows][:, cols].T % spec.p
+    work = _product(work, maps._a[np.array(pivots, dtype=np.intp)[rows]], spec.p)
+    work += maps._a[free[cols]]
+    work %= spec.p
     result = maps._a[free]
-    result += work
-    result %= spec.p
+    result[cols] = work
     return Matrix._adopt(spec, result)
 
 

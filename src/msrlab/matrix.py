@@ -14,8 +14,11 @@ enough that no intermediate ever reaches 2**63. When a whole product is
 too large for one block, the right factor is split into 16-bit limbs so
 that every block still sums at least 2**15 terms. Row reduction always picks
 the first nonzero entry in column order, so the reduced form of a given row
-space is unique and matrices can be compared entry by entry. `rank` first
-peels rows and columns with a single nonzero, which need no elimination.
+space is unique and matrices can be compared entry by entry. A sparse
+matrix, at least 5 x 5 with fewer than 2 * max(shape) nonzeros, is peeled
+first: `rref` takes each row with a single nonzero, in column c, as the
+unit row e_c of its result, and `rank` also drops columns with a single
+nonzero. A dense matrix pays one count of its nonzeros for the test.
 
 A Matrix is built in one of two ways only: `Matrix(spec, rows)` from Python
 values, which it reduces, or `Matrix._adopt(spec, arr)` over an int64 array
@@ -37,12 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadEntry, MixedFields, ShapeMismatch, Singular
-from .field import FieldElement, FieldSpec
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; a bool is no integer here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+from .field import FieldElement, FieldSpec, _is_integer
 
 
 def _coerce_entry(value, spec: FieldSpec) -> int:
@@ -100,6 +98,92 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
                 prod += part
             prod %= p
     return prod
+
+
+def _sparse(a: np.ndarray) -> bool:
+    """Whether a is worth peeling: at least 5 x 5, with fewer than
+    2 * max(shape) nonzeros, which leaves some row or column with at most
+    one. A dense matrix costs one count. Below 5 rows or columns a peeling
+    pass costs about as much as the elimination itself."""
+    return min(a.shape) > 4 and np.count_nonzero(a) < 2 * max(a.shape)
+
+
+def _singleton_rows(ones: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ones, 1 at a matrix's nonzeros and 0 elsewhere: the count of
+    nonzeros in each row, and the mask of the columns that hold the one
+    nonzero of some row. ones is `(a != 0)` viewed as int8, an eighth of
+    an int64 copy; summing the bools themselves would page in numpy loops
+    that nothing else here uses, 64 KiB of peak RSS each."""
+    in_rows = ones.sum(1)
+    return in_rows, ones[in_rows == 1].any(0)
+
+
+def _peel_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(rows, cols, peeled) after peeling a's singleton rows, or None when
+    a has none. A row whose one nonzero is in column c peels c: every such
+    row goes, so does column c, and rows left with one nonzero peel in turn.
+    rows and cols index the nonzero rows and columns that are left;
+    peeled masks the peeled columns."""
+    ones = (a != 0).view(np.int8)
+    in_rows, hit = _singleton_rows(ones)
+    if not hit.any():
+        return None
+    rows, cols = np.arange(a.shape[0]), np.arange(a.shape[1])
+    peeled = np.zeros(a.shape[1], dtype=bool)
+    while hit.any():
+        peeled[cols[hit]] = True
+        rows, cols = rows[in_rows > 1], cols[~hit]
+        ones = ones[in_rows > 1][:, ~hit]
+        in_rows, hit = _singleton_rows(ones)
+    return rows[in_rows > 0], cols[ones.any(0)], peeled
+
+
+def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
+    """(a, rank, pivots): a fresh int64 array reduced mod p brought to
+    reduced row echelon form in place, by one pivot step per column.
+
+    Every row at or below the current rank is zero left of the current
+    column, so a pivot step touches only the columns from it on. When at
+    most a quarter of the rows have a nonzero multiplier it updates only
+    those rows, otherwise all of them in place: on the benchmark's rref
+    inputs 1/8 to 1/2 time the same, and updating only the hit rows at
+    every step made repair's many small matrices about 15% slower.
+    """
+    n_rows, n_cols = a.shape
+    pivots: list[int] = []
+    rank = 0
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        column = a[:, col]
+        hit = column.nonzero()[0]
+        i = int(hit.searchsorted(rank))
+        if i == hit.size:
+            continue
+        pivot_row = int(hit[i])
+        if pivot_row != rank:
+            a[[rank, pivot_row], col:] = a[[pivot_row, rank], col:]
+        row = a[rank, col:]
+        inv = pow(int(column[rank]), -1, p)
+        if inv != 1:
+            row *= inv
+            row %= p
+        if hit.size > 1:
+            if 4 * hit.size <= n_rows:
+                # hit predates the swap: pivot_row is the pivot row
+                # itself or now holds the old row `rank`, whose
+                # multiplier is zero
+                hit = hit[hit != pivot_row]
+                a[hit, col:] = (a[hit, col:] - column[hit, None] * row) % p
+            else:
+                update = column[:, None] * row
+                update[rank] = 0
+                block = a[:, col:]
+                block -= update
+                block %= p
+        pivots.append(col)
+        rank += 1
+    return a, rank, pivots
 
 
 class Matrix:
@@ -275,70 +359,48 @@ class Matrix:
         each step is the first nonzero entry in column order, so equal row
         spaces always produce identical reduced matrices.
 
-        Every row at or below the current rank is zero left of the current
-        column, so a pivot step touches only the columns from it on. When at
-        most a quarter of the rows have a nonzero multiplier it updates only
-        those rows, otherwise all of them in place: on the benchmark's rref
-        inputs 1/8 to 1/2 time the same, and updating only the hit rows at
-        every step made repair's many small matrices about 15% slower.
+        A sparse matrix (`_sparse`, the gate `rank` uses too) first peels
+        its singleton rows: a row whose one nonzero is in column c puts the
+        unit row e_c in the row space, so c is a pivot and e_c its reduced
+        row. Column c goes from every other row, and rows left with one
+        nonzero peel in turn. The rows and columns left over are
+        eliminated, and their reduced rows, zero at every peeled column,
+        merge with the e_c in pivot order. That is the reduced form of the
+        whole row space, which is unique, so peeling changes no byte of the
+        result.
         """
-        p = self.spec.p
-        a = self._a.copy()
-        n_rows, n_cols = a.shape
-        pivots: list[int] = []
-        rank = 0
-        for col in range(n_cols):
-            if rank == n_rows:
-                break
-            column = a[:, col]
-            hit = column.nonzero()[0]
-            i = int(hit.searchsorted(rank))
-            if i == hit.size:
-                continue
-            pivot_row = int(hit[i])
-            if pivot_row != rank:
-                a[[rank, pivot_row], col:] = a[[pivot_row, rank], col:]
-            row = a[rank, col:]
-            inv = pow(int(column[rank]), -1, p)
-            if inv != 1:
-                row *= inv
-                row %= p
-            if hit.size > 1:
-                if 4 * hit.size <= n_rows:
-                    # hit predates the swap: pivot_row is the pivot row
-                    # itself or now holds the old row `rank`, whose
-                    # multiplier is zero
-                    hit = hit[hit != pivot_row]
-                    a[hit, col:] = (a[hit, col:] - column[hit, None] * row) % p
-                else:
-                    update = column[:, None] * row
-                    update[rank] = 0
-                    block = a[:, col:]
-                    block -= update
-                    block %= p
-            pivots.append(col)
-            rank += 1
-        return Matrix._adopt(self.spec, a), rank, tuple(pivots)
+        p, a = self.spec.p, self._a
+        peel = _peel_rows(a) if _sparse(a) else None
+        if peel is None:
+            reduced, rank, pivots = _eliminate(a.copy(), p)
+            return Matrix._adopt(self.spec, reduced), rank, tuple(pivots)
+        rows, cols, is_pivot = peel
+        peeled = is_pivot.nonzero()[0]
+        rest, rest_rank, rest_pivots = _eliminate(a[rows][:, cols], p)
+        rest_pivots = cols[rest_pivots]
+        is_pivot[rest_pivots] = True
+        # the row of the result that each pivot column leads
+        order = np.cumsum(is_pivot) - 1
+        reduced = np.zeros(a.shape, dtype=np.int64)
+        reduced[order[peeled], peeled] = 1
+        reduced[order[rest_pivots, None], cols] = rest[:rest_rank]
+        pivots = is_pivot.nonzero()[0]
+        return Matrix._adopt(self.spec, reduced), pivots.size, tuple(pivots.tolist())
 
     def rank(self) -> int:
         """rref()[1], after peeling what needs no elimination. A row whose
         one nonzero is in column c adds 1 per distinct c; the rows go, and
         so do those columns. Failing such rows, columns with one nonzero go
         the same way, as rows of the transpose. Zero rows and columns go
-        too. Fewer than 2 * max(shape) nonzeros leave some row or column
-        with at most one, so each pass removes something and a dense matrix
-        costs one count. Below 5 rows or columns a pass costs about as much
-        as rref itself, so what is left then goes straight through rref."""
+        too. Each pass under the gate of `_sparse` removes something, and a
+        dense matrix costs one count. What is left goes through rref."""
         a, rank = self._a, 0
-        while min(a.shape) > 4 and np.count_nonzero(a) < 2 * max(a.shape):
-            # 1 at the nonzeros; a bool sum or argmax would page in numpy
-            # loops that nothing else here uses, 64 KiB of peak RSS each
-            ones = np.minimum(a, 1)
-            in_rows = ones.sum(1)
-            if not (in_rows == 1).any():
+        while _sparse(a):
+            ones = (a != 0).view(np.int8)
+            in_rows, hit = _singleton_rows(ones)
+            if not hit.any():
                 a, ones = a.T, ones.T
-                in_rows = ones.sum(1)
-            hit = ones[in_rows == 1].any(0)
+                in_rows, hit = _singleton_rows(ones)
             rank += int(np.count_nonzero(hit))
             a = a[in_rows > 1][:, ~hit & ones.any(0)]
         if a is self._a:

@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BadLambda, BadParams, FieldTooSmall, StructuralError
-from .field import FieldElement, FieldSpec
-from .matrix import Matrix, _is_integer, _product, loaded
+from .field import FieldElement, FieldSpec, _is_integer
+from .matrix import Matrix, _product, loaded
 from .subspace import Subspace, is_direct_sum_full  # noqa: F401 (msrbench traces this binding)
 
 

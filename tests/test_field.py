@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,22 @@ def test_element_reduction_and_int():
     assert int(spec.element(7)) == 2
     assert bool(spec.element(5)) is False
     assert bool(spec.element(6)) is True
+
+
+@pytest.mark.parametrize("bad, name", [(2.7, "float"), (3.0, "float"), ("3", "str"),
+                                       (True, "bool"), (None, "NoneType"), (2 + 0j, "complex")])
+def test_element_refuses_values_that_are_not_integers(bad, name):
+    spec = FieldSpec(7)
+    for make in (lambda v: FieldElement(v, spec), spec.element):
+        with pytest.raises(TypeError, match=rf"^field elements must be ints, got {name}$"):
+            make(bad)
+
+
+def test_element_accepts_python_and_numpy_integers():
+    spec = FieldSpec(7)
+    for value in (9, np.int64(9), np.int32(-5), np.uint8(9)):
+        element = spec.element(value)
+        assert element.value == 2 and type(element.value) is int
 
 
 def test_element_operators():
