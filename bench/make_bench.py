@@ -1,6 +1,6 @@
 """Per-layer timings of what `verify` and `decay_trace` run, written as one BENCH file.
 
-    python3 bench/make_bench.py --out BENCH_17.json           # ell = 16, 27, 81
+    python3 bench/make_bench.py --out BENCH_18.json           # ell = 16, 27, 81
     python3 bench/make_bench.py --tiny --out bench_tiny.json  # ell = 4, 8; one repeat
 
 Run it from the root of a checkout. The inputs are captured, not listed: for

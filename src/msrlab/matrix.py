@@ -2,9 +2,11 @@
 
 Entries live in read-only numpy int64 arrays, reduced mod p. Every product
 runs in one kernel, `_product`: `@` wraps it, and verify() feeds it r
-members at a time, whose residuals at the free columns are Y @ N^T for
-images Y and annihilator bases N (N has 1 at free column f and -H[:, f] at
-the pivots). All k members at once cost the sweep about 6% more peak RSS.
+members at a time, ceil(k'/r) chunks of the k' members not spanned by
+unit rows (it reads the others' blocks off the maps without a product),
+whose residuals at the free columns are Y @ N^T for images Y and
+annihilator bases N (N has 1 at free column f and -H[:, f] at the
+pivots). All k members at once cost the sweep about 6% more peak RSS.
 A product of at least 4096 multiply-adds whose dot products stay below 2**24
 (inner * (p-1)**2 < 2**24) runs in float32 BLAS, which carries those
 integers exactly. Every other product runs in int64, the fallback and the
@@ -272,10 +274,12 @@ class Matrix:
         return FieldElement(int(self._a[i, j]), self.spec)
 
     def row(self, i: int) -> Matrix:
-        return Matrix._adopt(self.spec, self._a[i : i + 1].copy())
+        """Row i, indexed like `self[i, j]`: negative from the end."""
+        return Matrix._adopt(self.spec, self._a[[i]])
 
     def column(self, j: int) -> Matrix:
-        return Matrix._adopt(self.spec, self._a[:, j : j + 1].copy())
+        """Column j, indexed like `self[i, j]`: negative from the end."""
+        return Matrix._adopt(self.spec, self._a[:, [j]])
 
     def columns(self, indices: Sequence[int]) -> Matrix:
         """The columns at the given indices, in that order."""

@@ -169,16 +169,18 @@ class MsrSubspaceFamily:
         """Recompute invertibility, regeneration, and alignment from scratch
         on the first call; later calls return the same report.
 
-        Members go in chunks of r, whose stacked bases are ell x ell like a
-        map. Per chunk, map row o and slot j, one product gives each member's
-        images Y = H_t @ phi_{o,j} (d = ell/r rows), and one stacked product
-        with its annihilator basis N_t gives Y @ N_t^T. N_t has 1 at free
-        column f and -H_t[:, f] at the pivots P, so that is R[:, free] for
-        R = Y - Y[:, P] @ H_t, which is zero at P, and zero exactly when the
-        images lie in H_t. phi(H_t) == H_t when R is zero and phi is
+        For member H_t (pivots P, free columns F) and the map phi of row o,
+        slot j, the images are Y = H_t @ phi (d = ell/r rows). The
+        annihilator basis N_t has 1 at free column f and -H_t[:, f] at P, so
+        Y @ N_t^T is R[:, F] for R = Y - Y[:, P] @ H_t, zero exactly when
+        the images lie in H_t. phi(H_t) == H_t when R is zero and phi is
         invertible or Y[:, P] has full rank. For t == o, [H_t; Y] stacked
-        over j has rank d plus that of R[:, free] stacked over j, and rank
-        ell exactly when the images sum directly to F^ell."""
+        over j has rank d plus that of R[:, F] stacked over j, and rank ell
+        exactly when the images sum directly to F^ell. A coordinate member,
+        one nonzero per basis row, is span(e_P): Y is phi[P] and R[:, F] is
+        phi[P][:, F], which one gather per map reads for all of them. The
+        other members go in chunks of r, ell x ell like a map: per chunk and
+        map, one product gives each Y and one stacked product each Y @ N_t^T."""
         if self._report is not None:
             return self._report
         ell, r, p = self.ell, self.r, self.spec.p
@@ -189,24 +191,38 @@ class MsrSubspaceFamily:
                 invertible[(i, j)] = phi.rank() == ell
         direct_sum = {i: d == ell for i in range(self.k)}  # r = 1: no maps
         alignment = {}
-        for first in range(0, self.k, r):
-            # r members at a time: all k at once raised sweep's peak RSS by 6%
-            chunk = self.subspaces[first : first + r]
-            bases = np.concatenate([sub.basis._a for sub in chunk])
-            annihilators = np.array([sub.annihilator_basis()._a.T for sub in chunk])
+        coordinate, others = [], []
+        for t, sub in enumerate(self.subspaces):  # coordinate: one nonzero per basis row
+            (coordinate if np.count_nonzero(sub.basis._a) == d else others).append(t)
+        # r members at a time: all k at once raised sweep's peak RSS by 6%
+        groups = [coordinate] + [others[first : first + r] for first in range(0, len(others), r)]
+        for members in filter(None, groups):
+            chunk = [self.subspaces[t] for t in members]
+            pivots = np.array([sub._pivots for sub in chunk])
+            if members is coordinate:
+                free = np.array([sub.basis._free_columns(sub._pivots) for sub in chunk])
+                blocks = pivots[:, :, None] * ell + free[:, None, :]  # flat (P, F) indices
+            else:
+                bases = np.concatenate([sub.basis._a for sub in chunk])
+                annihilators = np.array([sub.annihilator_basis()._a.T for sub in chunk])
             for other, row in enumerate(self.maps):
                 regeneration = []
                 for j, phi in enumerate(row, start=1):
-                    images = _product(bases, phi._a, p).reshape(len(chunk), d, ell)
-                    residuals = _product(images, annihilators, p)
-                    members = zip(chunk, images, residuals)
-                    for t, (sub, image, residual) in enumerate(members, start=first):
+                    if members is coordinate:
+                        residuals = phi._a.take(blocks)
+                    else:
+                        images = _product(bases, phi._a, p).reshape(len(chunk), d, ell)
+                        residuals = _product(images, annihilators, p)
+                    if not invertible[(other, j)]:  # each member's Y[:, P]
+                        images = phi._a[pivots] if members is coordinate else images
+                        at_pivots = np.take_along_axis(images, pivots[:, None, :], 2)
+                    for n, t in enumerate(members):
                         if t == other:
-                            regeneration.append(residual)
+                            regeneration.append(residuals[n])
                             continue
-                        alignment[(t, other, j)] = not np.count_nonzero(residual) and (
+                        alignment[(t, other, j)] = not np.count_nonzero(residuals[n]) and (
                             invertible[(other, j)]
-                            or Matrix._adopt(self.spec, image[:, sub._pivots]).rank() == d
+                            or Matrix._adopt(self.spec, at_pivots[n]).rank() == d
                         )
                 if regeneration:
                     rank = Matrix._adopt(self.spec, np.concatenate(regeneration)).rank()

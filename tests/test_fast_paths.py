@@ -3,8 +3,9 @@ definitions they replace.
 
 Subspace.coordinates decides membership from the reduced basis with one
 product; verify() decides alignment from each member's residual at its free
-columns, taken for r members at a time through stacked products, plus a
-dimension check, and regeneration with one rank of those residuals; and
+columns, read off the map for a member spanned by unit rows and taken for
+r other members at a time through stacked products, plus a dimension
+check, and regeneration with one rank of those residuals; and
 construct_tensor_family builds every basis and map from Kronecker products.
 The oracles below are the definitions: membership as the rank of the
 stacked bases, alignment as apply_map(phi) == H, regeneration as
@@ -62,6 +63,11 @@ def report_by_definition(family: MsrSubspaceFamily) -> VerificationReport:
         ell=family.ell, r=family.r, k=family.k,
         invertible=invertible, direct_sum=direct_sum, alignment=alignment,
     )
+
+
+def is_coordinate(sub: Subspace) -> bool:
+    """Whether sub is spanned by unit rows: one nonzero per basis row."""
+    return all(sum(v != 0 for v in row) == 1 for row in sub.basis.to_lists())
 
 
 def assert_same_report(family: MsrSubspaceFamily):
@@ -354,8 +360,9 @@ def test_verify_ranks_each_regeneration_stack_once(monkeypatch):
 
 
 def test_verify_makes_two_products_per_chunk_map_and_slot(monkeypatch):
-    # members go in chunks of r: two kernel products per chunk, map row and
-    # slot, at most 2 (r-1) k ceil(k/r) in all
+    # coordinate members are read off the maps; the k' others go in chunks
+    # of r: two kernel products per chunk, map row and slot, at most
+    # 2 (r-1) k ceil(k'/r) in all
     rng = random.Random(4)
     families = [construct_tensor_family(3, 2, GF5, 2), construct_tensor_family(2, 3, GF3, 2),
                 eigen_family(GF5, 6, 3, 4, rng), eigen_family(BIG, 4, 2, 3, rng)]
@@ -372,7 +379,8 @@ def test_verify_makes_two_products_per_chunk_map_and_slot(monkeypatch):
     for family in families:
         products.clear()
         family.verify()
-        chunks = -(-family.k // family.r)
+        others = sum(not is_coordinate(sub) for sub in family.subspaces)
+        chunks = -(-others // family.r)
         assert 0 < len(products) <= 2 * (family.r - 1) * family.k * chunks
 
 
@@ -404,6 +412,102 @@ def test_verify_of_single_slot_families_matches_definition():
         family = eigen_family(spec, 3, 1, 3, rng)
         assert family.verify().ok
         assert_same_report(family)
+
+
+
+# ---------------------------------------------------------------- coordinate members
+
+COORDINATE_PRIMES = [3, 5, 2**31 - 1]
+
+
+def assert_matches_both_oracles(family: MsrSubspaceFamily):
+    assert_same_as_reference(family)
+    assert_same_report(family)
+
+
+@pytest.mark.parametrize("p", COORDINATE_PRIMES)
+def test_a_nonzero_in_a_coordinate_block_fails_exactly_that_alignment(p):
+    # phi[P][:, F] of a coordinate member H_t = span(e_P) is phi(H_t)'s
+    # residual: one nonzero planted at (x, y), x in P and y in F, moves H_t.
+    # y agrees with x at every other coordinate member through x, so no
+    # other coordinate member moves; the c kept keeps phi invertible.
+    spec, rng = FieldSpec(p), random.Random(p + 3)
+    for r, m in ((2, 3), (3, 2), (2, 4)):
+        family = construct_tensor_family(r, m, spec, 2)
+        ell = family.ell
+        pivots = {t: set(sub._pivots) for t, sub in enumerate(family.subspaces)
+                  if is_coordinate(sub)}
+        for _ in range(3):
+            t = rng.choice(sorted(pivots))
+            o = rng.choice([u for u in range(family.k) if u != t])
+            j = rng.randrange(1, r)
+            x = rng.choice(sorted(pivots[t]))
+            y = rng.choice([y for y in range(ell) if y not in pivots[t] and all(
+                y in pivots[u] for u in pivots if u != t and x in pivots[u])])
+            for c in (rng.randrange(1, p), 1, 2):  # phi + c E_xy is singular for one c at most
+                entries = family.maps[o][j - 1].to_lists()
+                entries[x][y] += c
+                if Matrix(spec, entries).rank() == ell:
+                    break
+            bad = with_map(family, o, j, Matrix(spec, entries))
+            report = bad.verify()
+            assert not report.noninvertible
+            assert [key for key in report.alignment_failures if key[0] in pivots] == [(t, o, j)]
+            assert_matches_both_oracles(bad)
+
+
+@pytest.mark.parametrize("p", COORDINATE_PRIMES)
+def test_singular_map_on_a_coordinate_member_is_ranked_at_its_pivots(monkeypatch, p):
+    # a diagonal map with one zero fixes every coordinate member's span:
+    # phi[P][:, F] is zero, and phi(H_t) == H_t exactly when the zero is
+    # outside P, where the d x d block phi[P][:, P] keeps full rank
+    spec = FieldSpec(p)
+    family = construct_tensor_family(3, 2, spec, 2)
+    ell, d, t, o, j = family.ell, family.ell // 3, 0, 5, 1
+    pivots = family.subspaces[t]._pivots
+    assert is_coordinate(family.subspaces[t])
+    ranked = []
+    real = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranked.append(self.shape) or real(self))
+    for zero, aligned in ((pivots[-1] + 1, True), (pivots[0], False)):
+        singular = Matrix(spec, [[int(a == b != zero) for b in range(ell)] for a in range(ell)])
+        bad = with_map(family, o, j, singular)
+        ranked.clear()
+        report = bad.verify()
+        assert (d, d) in ranked
+        assert report.noninvertible == ((o, j),)
+        assert report.alignment[(t, o, j)] is aligned
+        assert_matches_both_oracles(bad)
+
+
+@pytest.mark.parametrize("p", COORDINATE_PRIMES)
+def test_a_coordinate_member_with_a_perturbed_own_map_fails_regeneration(p):
+    # the identity at r = 2, or slot 2 repeating slot 1 at r = 3: both fix
+    # every member, so only the member's own regeneration fails
+    spec = FieldSpec(p)
+    for r, m in ((2, 3), (3, 2)):
+        family = construct_tensor_family(r, m, spec, 2)
+        for t, sub in enumerate(family.subspaces):
+            if not is_coordinate(sub):
+                continue
+            own = Matrix.identity(spec, family.ell) if r == 2 else family.maps[t][0]
+            bad = with_map(family, t, r - 1, own)
+            report = bad.verify()
+            assert report.direct_sum_failures == (t,)
+            assert not report.noninvertible and not report.alignment_failures
+            assert_matches_both_oracles(bad)
+
+
+@pytest.mark.parametrize("p", COORDINATE_PRIMES)
+def test_a_family_of_coordinate_members_verifies_without_products(monkeypatch, p):
+    # members with i < r pin a unit vector e_i, so every basis row is a unit row
+    monkeypatch.setattr(msr_family, "_product", lambda *args: pytest.fail("_product called"))
+    for r, m in ((2, 3), (3, 2), (3, 3)):
+        members = [c for c in range((r + 1) * m) if c % (r + 1) != r]
+        family = construct_tensor_family(r, m, FieldSpec(p), 2, members=members)
+        assert all(is_coordinate(sub) for sub in family.subspaces)
+        assert family.verify().ok
+        assert_matches_both_oracles(family)
 
 
 # ---------------------------------------------------------------- construction

@@ -84,6 +84,21 @@ def test_entry_row_column_access():
     assert mat.column(2).column_values() == (3, 1)
 
 
+
+def test_row_and_column_index_like_entries():
+    mat = Matrix(GF5, [[1, 2, 3], [4, 0, 1]])
+    assert mat.row(-1) == mat.row(1) == Matrix(GF5, [[4, 0, 1]])
+    assert mat.row(-2) == mat.row(0)
+    assert mat.column(-1) == mat.column(2) == Matrix(GF5, [[3], [1]])
+    assert mat.column(-3) == mat.column(0)
+    assert mat.row(-1).to_lists()[0][-1] == mat[-1, -1].value
+    for index in (2, 5, -3):
+        with pytest.raises(IndexError):
+            mat.row(index)
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            mat.column(index)
+
 def test_stacking():
     a = Matrix(GF3, [[1, 2]])
     b = Matrix(GF3, [[0, 1]])
