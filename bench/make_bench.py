@@ -1,6 +1,6 @@
-"""Per-layer timings of what `verify` and `decay_trace` run, written as one BENCH file.
+"""Per-layer timings of construction, `verify` and `decay_trace`, written as one BENCH file.
 
-    python3 bench/make_bench.py --out BENCH_18.json           # ell = 16, 27, 81
+    python3 bench/make_bench.py --out BENCH_19.json           # ell = 16, 27, 81
     python3 bench/make_bench.py --tiny --out bench_tiny.json  # ell = 4, 8; one repeat
 
 Run it from the root of a checkout. The inputs are captured, not listed: for
@@ -26,6 +26,10 @@ alone, on a fresh copy. One `decay_trace` row per ell times the whole
 trace (shape (k, ell)); its runs count their eliminations. The full mode
 adds one ell = 81 decay row at p = 65537 with a single repeat, where every
 large product runs in int64.
+
+One `construct_tensor_family` row per ell times building the whole family
+over GF(3) (shape (k, ell)); its runs count the eliminations, the r x r
+inverses of the tensor factors.
 
 Every row also names the code it measured: `source_sha256` is the sha256
 of the files `src/msrlab/*.py` concatenated in sorted name order, which
@@ -164,6 +168,16 @@ def rows_for(ell: int, r: int, m: int, repeats: int, stamp: dict) -> list[dict]:
     return rows
 
 
+def construct_row(ell: int, r: int, m: int, repeats: int, stamp: dict) -> dict:
+    """Building the whole ell = r**m tensor family over GF(3)."""
+    def build():
+        construct_tensor_family(r, m, FieldSpec(P))
+
+    return {"layer": "construct_tensor_family", "ell": ell, "shape": [(r + 1) * m, ell],
+            "inputs": 1, "p": P, "rref_calls": count_rref(build), **timed(build, repeats, 1),
+            **stamp}
+
+
 def decay_inputs(r: int, m: int, p: int) -> tuple:
     """The verified ell = r**m tensor family over GF(p) and the order of
     `--order random:7`. verify() keeps its report, so decay does not rerun it."""
@@ -214,6 +228,7 @@ def main(argv=None) -> int:
     stamp = machine()
     rows = []
     for ell, (r, m) in families.items():
+        rows.append(construct_row(ell, r, m, repeats, stamp))
         rows += rows_for(ell, r, m, repeats, stamp)
         rows += rref_rows(ell, r, m, repeats, stamp)
         rows.append(decay_row(ell, r, m, P, decay_repeats, stamp))

@@ -25,9 +25,11 @@ nonzero. A dense matrix pays one count of its nonzeros for the test.
 A Matrix is built in one of two ways only: `Matrix(spec, rows)` from Python
 values, which it reduces, or `Matrix._adopt(spec, arr)` over an int64 array
 the caller has already reduced mod p, which it freezes without a copy. That
-array is fresh, or a read-only view of another Matrix's frozen array: both
-stay unchanged for good, and copying a view, such as the d * ell x ell
-reshape of decay's maps (255 MB at ell = 81), would only cost memory.
+array is fresh, or a read-only view of a frozen array: another Matrix's, or
+a stack the caller froze before slicing it, like the construction's maps of
+one tensor slot. All stay unchanged for good, and copying a view, such as
+the d * ell x ell reshape of decay's maps (255 MB at ell = 81), would only
+cost memory.
 Every operation reduces its own fresh result and adopts it.
 
 Vectors are 1 x n matrices and maps act on them from the right (x -> x @ M)
@@ -209,8 +211,9 @@ class Matrix:
     @classmethod
     def _adopt(cls, spec: FieldSpec, arr: np.ndarray) -> Matrix:
         """Matrix over arr itself, an int64 array already reduced mod p: a
-        fresh one, or a read-only view of a frozen Matrix array, which no
-        one can write through. It is frozen, not copied."""
+        fresh one, or a read-only view of a frozen array (a Matrix's or a
+        frozen stack), which no one can write through. It is frozen, not
+        copied."""
         arr.setflags(write=False)
         m = object.__new__(cls)
         m.spec = spec

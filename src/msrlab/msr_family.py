@@ -341,6 +341,13 @@ def construct_tensor_family(
     whose slot entry equals i+t mod r+1 by the constant `scaling`, and leave
     the rest alone. Members are ordered slot-major: index = slot*(r+1) + i.
 
+    Nothing is multiplied or eliminated at ell x ell. A map is I (x) F (x) I
+    for an r x r factor F at the slot, so F[a, b] is placed straight at row
+    (before, a, after) and column (before, b, after), one assignment per
+    slot for all its maps. The basis I (x) u (x) I, u = v_i scaled to a
+    first nonzero of 1 (e_i, or all ones for v_r), is placed the same way
+    and is already the canonical RREF, so it needs no elimination.
+
     members, if given, lists distinct member indices in range((r+1)*m); only
     those members are built, in that order, and the family holds exactly the
     subspaces and maps the full family has at those indices. A repeated,
@@ -363,14 +370,8 @@ def construct_tensor_family(
     if not in_range or len(set(members)) != len(members):
         raise BadParams(f"members must be distinct indices in range({size}), got {list(members)}")
 
-    ell = r**m
-    vectors = Matrix.identity(spec, r).to_lists() + [[-1] * r]  # e_0..e_{r-1}, v_r
-
-    def at_slot(slot: int, block: Matrix) -> Matrix:
-        # I^(x)slot (x) block (x) I^(x)(m-1-slot), acting on one tensor factor
-        before = Matrix.identity(spec, r**slot)
-        after = Matrix.identity(spec, r ** (m - 1 - slot))
-        return before.kron(block).kron(after)
+    ell, p = r**m, spec.p
+    vectors = np.vstack([np.eye(r, dtype=np.int64), np.full((1, r), p - 1)])  # e_0..e_{r-1}, v_r
 
     # Per excluded index i, the tensors of the other r vectors form the basis
     # B = V_i^(x)m of F^ell. Scaling by lam the basis tensors whose slot entry
@@ -380,20 +381,40 @@ def construct_tensor_family(
     factors = {}
     for i in sorted({c % (r + 1) for c in members}):
         allowed = [idx for idx in range(r + 1) if idx != i]
-        inverse = Matrix(spec, [vectors[idx] for idx in allowed]).invert()
-        member_factors = []
+        inverse = Matrix._adopt(spec, vectors[allowed]).invert()
+        factors[i] = []
         for t in range(1, r):
-            scaled = (i + t) % (r + 1)
-            rows = [[lam * v for v in vectors[idx]] if idx == scaled else vectors[idx]
-                    for idx in allowed]
-            member_factors.append(inverse @ Matrix(spec, rows))
-        factors[i] = member_factors
+            rows = vectors[allowed]  # a copy; D_s V_i scales the row of v_s, s = i+t mod r+1
+            rows[allowed.index((i + t) % (r + 1))] *= lam
+            factors[i].append((inverse @ Matrix._adopt(spec, rows % p))._a)
 
-    subspaces = []
-    maps = []
-    for slot, i in (divmod(c, r + 1) for c in members):
-        pinned = at_slot(slot, Matrix.row_vector(spec, vectors[i]))
-        subspaces.append(Subspace.span_of(pinned))
-        maps.append([at_slot(slot, factor) for factor in factors[i]])
+    built = {}
+    for slot in sorted({c // (r + 1) for c in members}):  # only the indices present there
+        present = sorted(c % (r + 1) for c in members if c // (r + 1) == slot)
+        before, after = r**slot, r ** (m - 1 - slot)
+        # v_i scaled to a first nonzero of 1: e_i, or all ones for v_r
+        bases = _at_slot(vectors[present][:, None, :] != 0, before, after)
+        maps = _at_slot(np.array([f for i in present for f in factors[i]]), before, after)
+        for n, i in enumerate(present):
+            pivots = tuple(bases[n].argmax(1).tolist())  # each row's leading 1
+            pinned = Subspace._reduced(spec, Matrix._adopt(spec, bases[n]), pivots)
+            row = [Matrix._adopt(spec, phi) for phi in maps[n * (r - 1) : (n + 1) * (r - 1)]]
+            built[slot * (r + 1) + i] = pinned, row
+    return MsrSubspaceFamily(
+        ell, r, spec, [built[c][0] for c in members], [built[c][1] for c in members]
+    )
 
-    return MsrSubspaceFamily(ell, r, spec, subspaces, maps)
+
+def _at_slot(blocks: np.ndarray, before: int, after: int) -> np.ndarray:
+    """I_before (x) block (x) I_after for each h x w block of the stack,
+    frozen: entry block[i, j] sits at row (b, i, a) and column (b, j, a), and
+    every other entry is zero. One assignment places the whole stack."""
+    n, h, w = blocks.shape
+    b = np.arange(before)[:, None, None, None]
+    i, j, a = np.arange(h)[:, None, None], np.arange(w)[:, None], np.arange(after)
+    width = before * w * after
+    flat = ((b * h + i) * after + a) * width + (b * w + j) * after + a  # (before, h, w, after)
+    out = np.zeros((n, before * h * after, width), dtype=np.int64)
+    out.reshape(n, -1)[:, flat] = blocks[:, None, :, :, None]
+    out.setflags(write=False)
+    return out

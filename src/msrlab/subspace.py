@@ -47,6 +47,18 @@ class Subspace:
         return cls(generators.spec, generators.cols, generators)
 
     @classmethod
+    def _reduced(cls, spec: FieldSpec, basis: Matrix, pivots: tuple[int, ...]) -> Subspace:
+        """Trusts `basis` to be in canonical form, leading 1s at `pivots`, and
+        eliminates nothing. The tensor construction's I (x) u (x) I is, for u
+        whose first nonzero is a 1 at lead(u): row (b, a) leads at column
+        (b, lead(u), a), rising with the row, and every other row is zero
+        there, its nonzeros lying in columns (b', ., a') with (b', a') != (b, a)."""
+        sub = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (spec, basis.cols, basis, pivots)):
+            object.__setattr__(sub, name, value)
+        return sub
+
+    @classmethod
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> Subspace:
         return cls(spec, ambient_dim, Matrix.zeros(spec, 0, ambient_dim))
 

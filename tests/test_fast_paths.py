@@ -6,7 +6,8 @@ product; verify() decides alignment from each member's residual at its free
 columns, read off the map for a member spanned by unit rows and taken for
 r other members at a time through stacked products, plus a dimension
 check, and regeneration with one rank of those residuals; and
-construct_tensor_family builds every basis and map from Kronecker products.
+construct_tensor_family places every basis and map directly, each basis
+already in canonical form.
 The oracles below are the definitions: membership as the rank of the
 stacked bases, alignment as apply_map(phi) == H, regeneration as
 is_direct_sum_full over the apply_map images, and the tensor family built
