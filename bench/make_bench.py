@@ -1,6 +1,6 @@
 """Per-layer timings of construction, `verify` and `decay_trace`, written as one BENCH file.
 
-    python3 bench/make_bench.py --out BENCH_19.json           # ell = 16, 27, 81
+    python3 bench/make_bench.py --out BENCH_20.json           # ell = 16, 27, 81
     python3 bench/make_bench.py --tiny --out bench_tiny.json  # ell = 4, 8; one repeat
 
 Run it from the root of a checkout. The inputs are captured, not listed: for
@@ -19,7 +19,7 @@ whose shape is (k, ell).
 Decay is captured the same way: for each ell the script runs
 decay_trace(family, order) along the order of the command line's
 `--order random:7` and keeps every matrix that reaches Matrix.rref, that is
-the kernel of the first Kronecker system and each member's equations,
+the first member's annihilator basis and each later member's equations,
 grouped by shape. Each group is timed through Matrix.rref, which peels
 singleton rows first, and through `matrix._eliminate`, the per-pivot loop
 alone, on a fresh copy. One `decay_trace` row per ell times the whole
@@ -29,7 +29,10 @@ large product runs in int64.
 
 One `construct_tensor_family` row per ell times building the whole family
 over GF(3) (shape (k, ell)); its runs count the eliminations, the r x r
-inverses of the tensor factors.
+inverses of the tensor factors. One `MsrSubspaceFamily.from_json_dict` row
+per ell times loading that family from its parsed JSON, as `decay --in`
+and `verify --in` do after the parse; every basis in it is already
+canonical, so it counts no elimination.
 
 Every row also names the code it measured: `source_sha256` is the sha256
 of the files `src/msrlab/*.py` concatenated in sorted name order, which
@@ -59,7 +62,7 @@ from msrlab import msr_family  # noqa: E402
 from msrlab.field import FieldSpec  # noqa: E402
 from msrlab.invariant import decay_trace  # noqa: E402
 from msrlab.matrix import Matrix, _eliminate, _product  # noqa: E402
-from msrlab.msr_family import construct_tensor_family  # noqa: E402
+from msrlab.msr_family import MsrSubspaceFamily, construct_tensor_family  # noqa: E402
 
 P = 3
 LARGE_P = 65537
@@ -178,6 +181,18 @@ def construct_row(ell: int, r: int, m: int, repeats: int, stamp: dict) -> dict:
             **stamp}
 
 
+def load_row(ell: int, r: int, m: int, repeats: int, stamp: dict) -> dict:
+    """Loading the ell = r**m tensor family over GF(3) from its parsed JSON."""
+    payload = json.loads(json.dumps(construct_tensor_family(r, m, FieldSpec(P)).to_json_dict()))
+
+    def load():
+        MsrSubspaceFamily.from_json_dict(payload)
+
+    return {"layer": "MsrSubspaceFamily.from_json_dict", "ell": ell,
+            "shape": [(r + 1) * m, ell], "inputs": 1, "p": P, "rref_calls": count_rref(load),
+            **timed(load, repeats, 1), **stamp}
+
+
 def decay_inputs(r: int, m: int, p: int) -> tuple:
     """The verified ell = r**m tensor family over GF(p) and the order of
     `--order random:7`. verify() keeps its report, so decay does not rerun it."""
@@ -229,6 +244,7 @@ def main(argv=None) -> int:
     rows = []
     for ell, (r, m) in families.items():
         rows.append(construct_row(ell, r, m, repeats, stamp))
+        rows.append(load_row(ell, r, m, repeats, stamp))
         rows += rows_for(ell, r, m, repeats, stamp)
         rows += rref_rows(ell, r, m, repeats, stamp)
         rows.append(decay_row(ell, r, m, P, decay_repeats, stamp))

@@ -79,28 +79,40 @@ def _restrict(maps: Matrix | None, constraint: MapConstraint) -> Matrix | None:
     result is C @ maps, whose rows are again independent because C's and
     maps' are. The equations' row space, and so C, is the same for every
     choice of N, so N is read off B's canonical basis without an elimination.
+    If A and B are coordinate subspaces, A = span(e_P) and N's rows are the
+    e_f for B's free columns F, so A psi N^T = psi[P][:, F] is gathered.
+    For all maps the equations are the rows a (x) n, and a Kronecker
+    product of two RREFs is an RREF (row (i, n) leads with a 1 at column
+    (lead(i), lead(n)), zero in every other row), so their RREF is
+    A (x) rref(N), pivots P_A x P_N, and only N, c x ell, is eliminated.
     """
-    source = constraint.source.basis
+    source = constraint.source
     annihilator = constraint.target.annihilator_basis()
-    if source.rows == 0 or annihilator.rows == 0:
+    if source.dim == 0 or annihilator.rows == 0:
         return maps
+    ell, a, c = source.ambient_dim, source.dim, annihilator.rows
     if maps is None:
-        # restrict the unit maps: their equation columns are the Kronecker
-        # rows a (x) n themselves
-        return source.kron(annihilator).kernel()
+        annihilator = Subspace.span_of(annihilator)
+        pivots = np.add.outer(np.array(source._pivots) * ell, annihilator._pivots)
+        return source.basis.kron(annihilator.basis)._kernel_of_reduced(
+            a * c, pivots.ravel().tolist())
     d, spec = maps.rows, maps.spec
     if d == 0:
         return maps
-    ell, a, c = source.cols, source.rows, annihilator.rows
     # Each stage rebinds `work`, so no earlier stage stays alive through the
     # elimination and the final product, where memory peaks at ell = 81.
-    # psi_s N^T for every s: the rows of all maps stacked, one product
-    work = (Matrix._adopt(spec, maps._a.reshape(d * ell, ell)) @ annihilator.transpose())._a
-    # A psi_s N^T for every s: the same rows regrouped as columns (s, n)
-    work = work.reshape(d, ell, c).transpose(1, 0, 2).reshape(ell, d * c)
-    work = (source @ Matrix._adopt(spec, work))._a
-    # one equation row per (a, n) pair, one column per map psi_s
-    work = work.reshape(a, d, c).transpose(0, 2, 1).reshape(a * c, d)
+    if source.is_coordinate and constraint.target.is_coordinate:
+        # one equation row per (a, n) pair, psi_s[P[a], F[n]] in column s
+        free = constraint.target.basis._free_columns(constraint.target._pivots)
+        work = maps._a[:, np.add.outer(np.array(source._pivots) * ell, free).ravel()].T
+    else:
+        # psi_s N^T for every s: the rows of all maps stacked, one product
+        work = (Matrix._adopt(spec, maps._a.reshape(d * ell, ell)) @ annihilator.transpose())._a
+        # A psi_s N^T for every s: the same rows regrouped as columns (s, n)
+        work = work.reshape(d, ell, c).transpose(1, 0, 2).reshape(ell, d * c)
+        work = (source.basis @ Matrix._adopt(spec, work))._a
+        # one equation row per (a, n) pair, one column per map psi_s
+        work = work.reshape(a, d, c).transpose(0, 2, 1).reshape(a * c, d)
     reduced, rank, pivots = Matrix._adopt(spec, work).rref()
     # C is 1 at its free columns and minus the reduced rows at its pivots,
     # so C @ maps = maps[free] - R[:, free]^T @ maps[pivots], and C is never

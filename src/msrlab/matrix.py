@@ -492,14 +492,23 @@ class Matrix:
     @classmethod
     def from_json_rows(cls, spec: FieldSpec, data) -> Matrix:
         """Matrix from a loaded list of rows. Data that is not a list of
-        lists of integers raises BadEntry, not the TypeError of Matrix(...)."""
+        lists of integers raises BadEntry, not the TypeError of Matrix(...).
+        Rows of one width that fit an int64 convert in one pass; the rest
+        keep the messages and exact Python-int reduction of Matrix(...)."""
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise BadEntry("matrix data must be a list of rows")
         for row in data:
             for value in row:
                 if type(value) is not int:  # a bool is no int here
                     raise BadEntry(f"matrix entries must be integers, got {reprlib.repr(value)}")
-        return cls(spec, data)
+        if len(set(map(len, data))) != 1:
+            return cls(spec, data)
+        try:
+            arr = np.array(data, dtype=np.int64)
+        except OverflowError:
+            return cls(spec, data)
+        arr %= spec.p
+        return cls._adopt(spec, arr)
 
     def __repr__(self) -> str:
         return f"Matrix({self.spec!r}, {self.rows}x{self.cols})"

@@ -192,8 +192,8 @@ class MsrSubspaceFamily:
         direct_sum = {i: d == ell for i in range(self.k)}  # r = 1: no maps
         alignment = {}
         coordinate, others = [], []
-        for t, sub in enumerate(self.subspaces):  # coordinate: one nonzero per basis row
-            (coordinate if np.count_nonzero(sub.basis._a) == d else others).append(t)
+        for t, sub in enumerate(self.subspaces):
+            (coordinate if sub.is_coordinate else others).append(t)
         # r members at a time: all k at once raised sweep's peak RSS by 6%
         groups = [coordinate] + [others[first : first + r] for first in range(0, len(others), r)]
         for members in filter(None, groups):

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import AmbientMismatch, MixedFields, ShapeMismatch
 from .field import FieldSpec
 from .matrix import Matrix, loaded
@@ -49,10 +51,12 @@ class Subspace:
     @classmethod
     def _reduced(cls, spec: FieldSpec, basis: Matrix, pivots: tuple[int, ...]) -> Subspace:
         """Trusts `basis` to be in canonical form, leading 1s at `pivots`, and
-        eliminates nothing. The tensor construction's I (x) u (x) I is, for u
-        whose first nonzero is a 1 at lead(u): row (b, a) leads at column
-        (b, lead(u), a), rising with the row, and every other row is zero
-        there, its nonzeros lying in columns (b', ., a') with (b', a') != (b, a)."""
+        eliminates nothing. Two callers hand it such a basis. The tensor
+        construction's I (x) u (x) I is, for u whose first nonzero is a 1 at
+        lead(u): row (b, a) leads at column (b, lead(u), a), rising with the
+        row, and every other row is zero there, its nonzeros lying in columns
+        (b', ., a') with (b', a') != (b, a). `from_json_dict` passes a loaded
+        basis only after `_canonical_pivots` has checked exactly that."""
         sub = object.__new__(cls)
         for name, value in zip(cls.__slots__, (spec, basis.cols, basis, pivots)):
             object.__setattr__(sub, name, value)
@@ -77,6 +81,12 @@ class Subspace:
     @property
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
+
+    @property
+    def is_coordinate(self) -> bool:
+        """Whether every basis row has a single nonzero, its leading 1, so
+        that this is span(e_P) for its pivots P."""
+        return int(np.count_nonzero(self.basis._a)) == self.dim
 
     def _check_compatible(self, other: Subspace):
         if self.spec != other.spec:
@@ -158,10 +168,27 @@ class Subspace:
         rows = loaded(payload["basis"], list, "basis")
         if not rows:
             return cls.zero(got, ambient)
-        return cls(got, ambient, Matrix.from_json_rows(got, rows))
+        basis = Matrix.from_json_rows(got, rows)
+        pivots = _canonical_pivots(basis._a) if basis.cols == ambient else None
+        if pivots is None:
+            return cls(got, ambient, basis)
+        return cls._reduced(got, basis, pivots)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim} over {self.spec!r})"
+
+
+def _canonical_pivots(a: np.ndarray) -> tuple[int, ...] | None:
+    """The pivots of a if a is its own RREF with no zero row, else None: the
+    leading columns rise strictly and a read at them is the identity (a
+    zero row "leads" at column 0, with no 1 there)."""
+    if not a.shape[1]:
+        return None
+    leads = (a != 0).argmax(1)
+    at_leads = a[:, leads]
+    if (leads[1:] <= leads[:-1]).any() or (at_leads.diagonal() != 1).any():
+        return None
+    return tuple(leads.tolist()) if np.count_nonzero(at_leads) == a.shape[0] else None
 
 
 def is_direct_sum_full(parts: Sequence[Subspace]) -> bool:

@@ -5,7 +5,8 @@ they measured by its sha256 (BENCH_12 and BENCH_14 predate that key), and
 files from BENCH_17.json on also time decay: its eliminations, through
 Matrix.rref and the per-pivot loop alone, and the whole trace per ell,
 once more at ell = 81 over GF(65537). Files from BENCH_19.json on also
-time construct_tensor_family once per ell."""
+time construct_tensor_family once per ell, and files from BENCH_20.json
+on also time loading that family from its JSON once per ell."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ PRODUCT_LAYER = "matrix._product"
 RREF_LAYERS = {"Matrix.rref", "matrix._eliminate"}
 DECAY_LAYER = "decay_trace"
 CONSTRUCT_LAYER = "construct_tensor_family"
+LOAD_LAYER = "MsrSubspaceFamily.from_json_dict"
 VERIFY_LAYERS = RANK_LAYERS | {"MsrSubspaceFamily.verify", PRODUCT_LAYER}
 LARGE_P = 65537
 
@@ -34,7 +36,8 @@ def check_schema(payload: dict, ells: set[int], repeats: int | None = None):
     rows = payload["rows"]
     for row in rows:
         assert list(row) in (ROW_KEYS, ROW_KEYS + ["source_sha256"])
-        assert row["layer"] in VERIFY_LAYERS | RREF_LAYERS | {DECAY_LAYER, CONSTRUCT_LAYER}
+        assert row["layer"] in VERIFY_LAYERS | RREF_LAYERS | {DECAY_LAYER, CONSTRUCT_LAYER,
+                                                              LOAD_LAYER}
         assert row["ell"] in ells
         # a product's shape is rows, inner, cols, led by the batch when stacked
         sizes = (3, 4) if row["layer"] == PRODUCT_LAYER else (2,)
@@ -57,6 +60,9 @@ def check_schema(payload: dict, ells: set[int], repeats: int | None = None):
         if row["layer"] == CONSTRUCT_LAYER:
             # the r x r inverses of the factors, r + 1 <= k of them; no basis is eliminated
             assert 0 < row["rref_calls"] <= row["shape"][0]
+        if row["layer"] == LOAD_LAYER:
+            # every basis in the file is already canonical
+            assert row["rref_calls"] == 0
     # both rank layers time the same captured inputs, and every ell has a verify row
     by_layer = {layer: sorted((r["ell"], r["shape"], r["inputs"]) for r in rows
                               if r["layer"] == layer) for layer in RANK_LAYERS | RREF_LAYERS}
@@ -68,6 +74,11 @@ def check_schema(payload: dict, ells: set[int], repeats: int | None = None):
 def check_construct_rows(payload: dict, ells: set[int]):
     """One construction row per ell."""
     assert sorted(r["ell"] for r in payload["rows"] if r["layer"] == CONSTRUCT_LAYER) == sorted(ells)
+
+
+def check_load_rows(payload: dict, ells: set[int]):
+    """One family-load row per ell."""
+    assert sorted(r["ell"] for r in payload["rows"] if r["layer"] == LOAD_LAYER) == sorted(ells)
 
 
 def check_decay_rows(payload: dict, ells: set[int], large_p: bool):
@@ -88,6 +99,7 @@ def test_tiny_mode_writes_the_schema(tmp_path):
     check_schema(payload, {4, 8}, repeats=1)
     check_decay_rows(payload, {4, 8}, large_p=False)
     check_construct_rows(payload, {4, 8})
+    check_load_rows(payload, {4, 8})
     assert {r["ell"] for r in payload["rows"] if r["layer"] == PRODUCT_LAYER} == {4, 8}
     source = b"".join(path.read_bytes() for path in sorted((ROOT / "src" / "msrlab").glob("*.py")))
     assert {r.get("source_sha256") for r in payload["rows"]} == {hashlib.sha256(source).hexdigest()}
@@ -108,3 +120,5 @@ def test_committed_bench_files_keep_the_schema(path):
         check_decay_rows(rows, {16, 27, 81}, large_p=True)
     if int(path.stem.split("_")[1]) >= 19:
         check_construct_rows(rows, {16, 27, 81})
+    if int(path.stem.split("_")[1]) >= 20:
+        check_load_rows(rows, {16, 27, 81})
