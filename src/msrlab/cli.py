@@ -73,9 +73,9 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _fail(report: dict) -> int:
-    """Print a machine-readable failure report and return exit status 1."""
-    print(json.dumps(report, indent=2))
+def _failure(kind: str, replay: str, **payload) -> int:
+    """Print an exit-1 report, "failure" first and "replay" last; return 1."""
+    print(json.dumps({"failure": kind, **payload, "replay": replay}, indent=2))
     return 1
 
 
@@ -95,9 +95,8 @@ def _replay(args: argparse.Namespace, command: str) -> str:
 
 def _fail_family(args: argparse.Namespace, report, family: MsrSubspaceFamily, files: str) -> int:
     """The exit-1 report of verify, bound or extract on a family read from `files`."""
-    return _fail({"failure": args.command, "report": report.to_json_dict(),
-                  "family": family.to_json_dict(),
-                  "replay": _replay(args, f"msrlab {args.command} {files}")})
+    return _failure(args.command, _replay(args, f"msrlab {args.command} {files}"),
+                    report=report.to_json_dict(), family=family.to_json_dict())
 
 
 def _load_family(args: argparse.Namespace) -> MsrSubspaceFamily:
@@ -236,16 +235,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if bad is None:
         return 0
     row, family = bad
-    return _fail(
-        {
-            "failure": "sweep",
-            "row": {name: str(cell) for name, cell in zip(SWEEP_HEADER, row)},
-            "family": family.to_json_dict(),
-            "replay": (
-                f"msrlab sweep --r-list {row[0]} --m-list {row[1]} --p {args.p}"
-                f" --lambda {args.lam} --ceiling {args.ceiling}"
-            ),
-        }
+    return _failure(
+        "sweep",
+        f"msrlab sweep --r-list {row[0]} --m-list {row[1]} --p {args.p}"
+        f" --lambda {args.lam} --ceiling {args.ceiling}",
+        row={name: str(cell) for name, cell in zip(SWEEP_HEADER, row)},
+        family=family.to_json_dict(),
     )
 
 
@@ -259,16 +254,14 @@ def cmd_evenodd(args: argparse.Namespace) -> int:
         for node in nodes:
             result = evenodd_repair(blocks, node)
             if result.block != blocks[node] or result.bandwidth.total != 3:
-                return _fail(
-                    {
-                        "failure": "evenodd-repair",
-                        "data": [list(word) for word in data],
-                        "node": node,
-                        "recovered": result.block.to_json_dict(),
-                        "expected": blocks[node].to_json_dict(),
-                        "bandwidth": result.bandwidth.to_json_dict(),
-                        "replay": f"msrlab evenodd --repair {node}",
-                    }
+                return _failure(
+                    "evenodd-repair",
+                    f"msrlab evenodd --repair {node}",
+                    data=[list(word) for word in data],
+                    node=node,
+                    recovered=result.block.to_json_dict(),
+                    expected=blocks[node].to_json_dict(),
+                    bandwidth=result.bandwidth.to_json_dict(),
                 )
             checked += 1
     print(f"exhaustive check: {checked} repairs exact, 3 symbols each")
@@ -297,16 +290,12 @@ def cmd_repair_check(args: argparse.Namespace) -> int:
     if all(report.ok for report in reports):
         print("SCHEME PASS")
         return 0
-    return _fail(
-        {
-            "failure": "repair-check",
-            "reports": [report.to_json_dict() for report in reports],
-            "code": code.to_json_dict(),
-            "scheme": scheme.to_json_dict(),
-            "replay": _replay(
-                args, f"msrlab repair-check --code {args.code} --scheme {args.scheme}"
-            ),
-        }
+    return _failure(
+        "repair-check",
+        _replay(args, f"msrlab repair-check --code {args.code} --scheme {args.scheme}"),
+        reports=[report.to_json_dict() for report in reports],
+        code=code.to_json_dict(),
+        scheme=scheme.to_json_dict(),
     )
 
 
@@ -483,8 +472,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     for label, suite in suites:
         finding = suite()
         if finding is not None:
-            finding["replay"] = f"msrlab selftest --seed {args.seed}"
-            return _fail(finding)
+            print(json.dumps({**finding, "replay": f"msrlab selftest --seed {args.seed}"}, indent=2))
+            return 1
         print(f"ok: {label}")
     print(f"SELFTEST PASS seed={args.seed}")
     return 0

@@ -86,13 +86,12 @@ def _restrict(maps: Matrix | None, constraint: MapConstraint) -> Matrix | None:
     (lead(i), lead(n)), zero in every other row), so their RREF is
     A (x) rref(N), pivots P_A x P_N, and only N, c x ell, is eliminated.
     """
-    source = constraint.source
-    annihilator = constraint.target.annihilator_basis()
-    if source.dim == 0 or annihilator.rows == 0:
+    source, target = constraint.source, constraint.target
+    ell, a, c = source.ambient_dim, source.dim, source.ambient_dim - target.dim
+    if a == 0 or c == 0:
         return maps
-    ell, a, c = source.ambient_dim, source.dim, annihilator.rows
     if maps is None:
-        annihilator = Subspace.span_of(annihilator)
+        annihilator = target.annihilator()
         pivots = np.add.outer(np.array(source._pivots) * ell, annihilator._pivots)
         return source.basis.kron(annihilator.basis)._kernel_of_reduced(
             a * c, pivots.ravel().tolist())
@@ -101,13 +100,14 @@ def _restrict(maps: Matrix | None, constraint: MapConstraint) -> Matrix | None:
         return maps
     # Each stage rebinds `work`, so no earlier stage stays alive through the
     # elimination and the final product, where memory peaks at ell = 81.
-    if source.is_coordinate and constraint.target.is_coordinate:
+    if source.is_coordinate and target.is_coordinate:
         # one equation row per (a, n) pair, psi_s[P[a], F[n]] in column s
-        free = constraint.target.basis._free_columns(constraint.target._pivots)
+        free = target.basis._free_columns(target._pivots)
         work = maps._a[:, np.add.outer(np.array(source._pivots) * ell, free).ravel()].T
     else:
         # psi_s N^T for every s: the rows of all maps stacked, one product
-        work = (Matrix._adopt(spec, maps._a.reshape(d * ell, ell)) @ annihilator.transpose())._a
+        annihilator = target.annihilator_basis().transpose()
+        work = (Matrix._adopt(spec, maps._a.reshape(d * ell, ell)) @ annihilator)._a
         # A psi_s N^T for every s: the same rows regrouped as columns (s, n)
         work = work.reshape(d, ell, c).transpose(1, 0, 2).reshape(ell, d * c)
         work = (source.basis @ Matrix._adopt(spec, work))._a

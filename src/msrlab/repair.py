@@ -260,14 +260,13 @@ def _node_solution(code: VectorCodeSystematic, scheme, m: int):
         return scheme._solutions[code, m]
     solved = {}
     for node in range(code.k):
-        shares = Matrix.vstack(
-            [scheme.matrix_for(i, m) @ code.parity[i][node] for i in range(code.r)]
-        )
+        shares = [scheme.matrix_for(i, m) @ code.parity[i][node] for i in range(code.r)]
+        stacked = Matrix.vstack(shares)
         try:
             if node == m:
-                solved[node] = shares.invert()
+                solved[node] = stacked.invert()
             else:
-                solved[node] = (scheme.matrix_for(0, m) @ code.parity[0][node]).solve_left(shares)
+                solved[node] = shares[0].solve_left(stacked)
         except Singular:
             solved[node] = None
     inverse = solved.pop(m)
@@ -391,13 +390,15 @@ def extract_family(
 # (a1+b1, a2+b2) and parity node 3 holds (a2+b1, a1+a2+b2).
 
 _GF2 = FieldSpec(2)
+_IDENTITY = Matrix(_GF2, [[1, 0], [0, 1]])  # not np.eye, whose first call costs 0.17 MiB
+_MIXER = Matrix(_GF2, [[0, 1], [1, 1]])  # (a1,a2) -> (a2, a1+a2)
+_TOP = Matrix(_GF2, [[1, 0]])
+_BOTTOM = Matrix(_GF2, [[0, 1]])
 
 
 def evenodd_code() -> VectorCodeSystematic:
-    identity = Matrix.identity(_GF2, 2)
-    mixer = Matrix(_GF2, [[0, 1], [1, 1]])  # (a1,a2) -> (a2, a1+a2)
     return VectorCodeSystematic(
-        n=4, k=2, ell=2, spec=_GF2, parity=((identity, identity), (mixer, identity))
+        n=4, k=2, ell=2, spec=_GF2, parity=((_IDENTITY, _IDENTITY), (_MIXER, _IDENTITY))
     )
 
 
@@ -405,9 +406,7 @@ def evenodd_scheme() -> GeneralRepairScheme:
     """The published repair rows. Node 0 uses the same row on both parity
     units; node 1 cannot (both its parity coefficients are the identity), so
     the scheme is general, not constant."""
-    top = Matrix(_GF2, [[1, 0]])
-    bottom = Matrix(_GF2, [[0, 1]])
-    return GeneralRepairScheme(((top, bottom), (top, top)))
+    return GeneralRepairScheme(((_TOP, _BOTTOM), (_TOP, _TOP)))
 
 
 # Hardcoded parity repairs: helper -> selector row, then recovered block =
@@ -443,11 +442,8 @@ def evenodd_constant_instance() -> tuple[VectorCodeSystematic, ConstantRepairSch
     drop the node) leaves a (3, 1) code whose node-0 repair row [1 0] is
     EVENODD's own, and it is constant across both parity units.
     """
-    identity = Matrix.identity(_GF2, 2)
-    mixer = Matrix(_GF2, [[0, 1], [1, 1]])
-    code = VectorCodeSystematic(n=3, k=1, ell=2, spec=_GF2, parity=((identity,), (mixer,)))
-    scheme = ConstantRepairScheme((Matrix(_GF2, [[1, 0]]),))
-    return code, scheme
+    code = VectorCodeSystematic(n=3, k=1, ell=2, spec=_GF2, parity=((_IDENTITY,), (_MIXER,)))
+    return code, ConstantRepairScheme((_TOP,))
 
 
 # ----------------------------------------------------------------------

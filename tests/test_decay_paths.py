@@ -143,6 +143,26 @@ def test_decay_trace_eliminates_once_per_member(monkeypatch):
     assert len(eliminated) == family.k == 12
 
 
+def test_decay_trace_reads_an_annihilator_only_where_it_multiplies(monkeypatch):
+    family = construct_tensor_family(2, 4, GF3, 2)
+    assert family.verify().ok  # the report is kept on the family
+    order = list(range(family.k))
+    random.Random(0).shuffle(order)
+    kernels = []
+    real = Matrix._kernel_of_reduced
+    monkeypatch.setattr(
+        Matrix, "_kernel_of_reduced",
+        lambda self, rank, pivots: kernels.append(self) or real(self, rank, pivots),
+    )
+    decay_trace(family, order)
+    coordinate = sum(family.subspaces[member].is_coordinate for member in order[1:])
+    # step 1 reads the first member's annihilator and the Kronecker system's
+    # kernel; a later member's annihilator basis is read only when its
+    # equations are multiplied out, that is, when it is not coordinate
+    assert coordinate == 7
+    assert len(kernels) == 2 + (family.k - 1 - coordinate) == 6
+
+
 def coordinate(spec, ambient, pivots) -> Subspace:
     """span(e_P) for the pivots P."""
     rows = [[int(col == pivot) for col in range(ambient)] for pivot in pivots]

@@ -29,6 +29,7 @@ from msrlab.repair import (
     RepairResult,
     SchemeReport,
     VectorCodeSystematic,
+    _node_solution,
     as_block,
     check_msr_scheme,
     cutset_bound,
@@ -284,6 +285,19 @@ def test_repair_node_eliminates_once_per_question(monkeypatch):
     assert repair_node(code, fresh, 2, blocks).block == blocks[2]
     # one inverse of node 2's stacked shares, one solve per other node, no re-check
     assert len(eliminated) == k == 4
+
+
+def test_a_node_multiplies_each_share_once(monkeypatch):
+    n, k, ell = 6, 4, 16
+    code, scheme = random_constant_instance(n, k, ell, random.Random(1))
+    fresh = ConstantRepairScheme(scheme.matrices)
+    products = []
+    real = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(a) or real(a, b))
+    assert _node_solution(code, fresh, 2)[0].ok
+    # the r shares S_{i,m} C[i][m'] of each node m', and nothing more: the
+    # other nodes solve against the first share already stacked
+    assert len(products) == (n - k) * k == 8
 
 
 def test_each_node_is_solved_once_per_code_and_scheme(monkeypatch):
