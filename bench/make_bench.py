@@ -19,7 +19,8 @@ whose shape is (k, ell).
 Decay is captured the same way: for each ell the script runs
 decay_trace(family, order) along the order of the command line's
 `--order random:7` and keeps every matrix that reaches Matrix.rref, that is
-the first member's annihilator basis and each later member's equations,
+the first member's annihilator basis, unless that member is coordinate and
+its annihilator canonical already, and each later member's equations,
 grouped by shape. Each group is timed through Matrix.rref, which peels
 singleton rows first, and through `matrix._eliminate`, the per-pivot loop
 alone, on a fresh copy. One `decay_trace` row per ell times the whole
@@ -28,8 +29,10 @@ adds one ell = 81 decay row at p = 65537 with a single repeat, where every
 large product runs in int64.
 
 One `construct_tensor_family` row per ell times building the whole family
-over GF(3) (shape (k, ell)); its runs count the eliminations, the r x r
-inverses of the tensor factors. One `MsrSubspaceFamily.from_json_dict` row
+over GF(3) (shape (k, ell)); its runs count the eliminations, which are
+none: every factor is built in closed form and every basis is canonical.
+Files up to BENCH_20.json count the r x r inverses that construction
+took before. One `MsrSubspaceFamily.from_json_dict` row
 per ell times loading that family from its parsed JSON, as `decay --in`
 and `verify --in` do after the parse; every basis in it is already
 canonical, so it counts no elimination.

@@ -84,17 +84,14 @@ def _restrict(maps: Matrix | None, constraint: MapConstraint) -> Matrix | None:
     For all maps the equations are the rows a (x) n, and a Kronecker
     product of two RREFs is an RREF (row (i, n) leads with a 1 at column
     (lead(i), lead(n)), zero in every other row), so their RREF is
-    A (x) rref(N), pivots P_A x P_N, and only N, c x ell, is eliminated.
+    A (x) rref(N), which Subspace keeps as it is: only N, c x ell, is eliminated.
     """
     source, target = constraint.source, constraint.target
     ell, a, c = source.ambient_dim, source.dim, source.ambient_dim - target.dim
     if a == 0 or c == 0:
         return maps
     if maps is None:
-        annihilator = target.annihilator()
-        pivots = np.add.outer(np.array(source._pivots) * ell, annihilator._pivots)
-        return source.basis.kron(annihilator.basis)._kernel_of_reduced(
-            a * c, pivots.ravel().tolist())
+        return Subspace.span_of(source.basis.kron(target.annihilator().basis)).annihilator_basis()
     d, spec = maps.rows, maps.spec
     if d == 0:
         return maps

@@ -341,12 +341,12 @@ def construct_tensor_family(
     whose slot entry equals i+t mod r+1 by the constant `scaling`, and leave
     the rest alone. Members are ordered slot-major: index = slot*(r+1) + i.
 
-    Nothing is multiplied or eliminated at ell x ell. A map is I (x) F (x) I
-    for an r x r factor F at the slot, so F[a, b] is placed straight at row
-    (before, a, after) and column (before, b, after), one assignment per
-    slot for all its maps. The basis I (x) u (x) I, u = v_i scaled to a
-    first nonzero of 1 (e_i, or all ones for v_r), is placed the same way
-    and is already the canonical RREF, so it needs no elimination.
+    Nothing is inverted, multiplied or eliminated. A map is I (x) F (x) I for
+    an r x r factor F at the slot, built in closed form, so F[a, b] is placed
+    straight at row (before, a, after) and column (before, b, after), one
+    assignment per slot for all its maps. The basis I (x) u (x) I, u = v_i
+    scaled to a first nonzero of 1 (e_i, or all ones for v_r), is placed the
+    same way and is already the canonical RREF, which Subspace keeps as it is.
 
     members, if given, lists distinct member indices in range((r+1)*m); only
     those members are built, in that order, and the family holds exactly the
@@ -376,17 +376,16 @@ def construct_tensor_family(
     # Per excluded index i, the tensors of the other r vectors form the basis
     # B = V_i^(x)m of F^ell. Scaling by lam the basis tensors whose slot entry
     # is s is the map B^-1 D B, D diagonal; by the mixed-product property it
-    # is V_i^-1 D_s V_i at that slot (D_s the r x r diagonal part) and the
-    # identity at every other slot.
-    factors = {}
-    for i in sorted({c % (r + 1) for c in members}):
-        allowed = [idx for idx in range(r + 1) if idx != i]
-        inverse = Matrix._adopt(spec, vectors[allowed]).invert()
-        factors[i] = []
-        for t in range(1, r):
-            rows = vectors[allowed]  # a copy; D_s V_i scales the row of v_s, s = i+t mod r+1
-            rows[allowed.index((i + t) % (r + 1))] *= lam
-            factors[i].append((inverse @ Matrix._adopt(spec, rows % p))._a)
+    # is V_i^-1 D_s V_i at that slot and the identity at every other slot.
+    # Member i's t-th map has s = i+t mod r+1; as D_s = I + (lam-1) E_ss, its
+    # factor is I + (lam-1) c (x) v_s, c = V_i^-1 e_s = e_s - e_i (e_r read as 0).
+    excluded = np.arange(r + 1)[:, None]
+    scaled = (excluded + np.arange(1, r)) % (r + 1)
+    units = np.eye(r + 1, r, dtype=np.int64)  # e_0..e_{r-1}, then e_r read as 0
+    factors = (units[scaled] - units[excluded])[..., None] * vectors[scaled][..., None, :]
+    factors *= lam - 1
+    factors += np.eye(r, dtype=np.int64)
+    factors %= p  # factors[i, t - 1]: member i's t-th factor
 
     built = {}
     for slot in sorted({c // (r + 1) for c in members}):  # only the indices present there
@@ -394,10 +393,9 @@ def construct_tensor_family(
         before, after = r**slot, r ** (m - 1 - slot)
         # v_i scaled to a first nonzero of 1: e_i, or all ones for v_r
         bases = _at_slot(vectors[present][:, None, :] != 0, before, after)
-        maps = _at_slot(np.array([f for i in present for f in factors[i]]), before, after)
+        maps = _at_slot(factors[present].reshape(-1, r, r), before, after)
         for n, i in enumerate(present):
-            pivots = tuple(bases[n].argmax(1).tolist())  # each row's leading 1
-            pinned = Subspace._reduced(spec, Matrix._adopt(spec, bases[n]), pivots)
+            pinned = Subspace(spec, ell, Matrix._adopt(spec, bases[n]))
             row = [Matrix._adopt(spec, phi) for phi in maps[n * (r - 1) : (n + 1) * (r - 1)]]
             built[slot * (r + 1) + i] = pinned, row
     return MsrSubspaceFamily(

@@ -18,6 +18,7 @@ check_msr_scheme certifies, and they make repair_node hit the cutset bound
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import reprlib
@@ -409,6 +410,13 @@ def evenodd_scheme() -> GeneralRepairScheme:
     return GeneralRepairScheme(((_TOP, _BOTTOM), (_TOP, _TOP)))
 
 
+@functools.cache
+def _evenodd_pair() -> tuple[VectorCodeSystematic, GeneralRepairScheme]:
+    """The code and scheme that every evenodd_repair call shares; the scheme
+    keeps each node's solution, so both are built and solved once."""
+    return evenodd_code(), evenodd_scheme()
+
+
 # Hardcoded parity repairs: helper -> selector row, then recovered block =
 # combination @ stacked received symbols (helpers in ascending node order).
 _EVENODD_PARITY_PLANS = {
@@ -424,7 +432,7 @@ def evenodd_repair(blocks: Sequence, node: int) -> RepairResult:
     if len(blocks) != 4:
         raise ShapeMismatch(f"{len(blocks)} blocks, expected 4")
     if node in (0, 1):
-        return repair_node(evenodd_code(), evenodd_scheme(), node, blocks)
+        return repair_node(*_evenodd_pair(), node, blocks)
     stored = {i: as_block(_GF2, 2, blocks[i]) for i in range(4) if i != node}
     selectors, combination = _EVENODD_PARITY_PLANS[node]
     sent = {

@@ -2,9 +2,11 @@
 
 Every subspace keeps its basis in reduced row echelon form with zero rows
 dropped, so two subspaces are equal exactly when their basis matrices are
-identical, and membership needs no elimination: a row x lies in the span
-exactly when x equals (x read at the pivot columns) @ basis. Neither does an
-annihilator basis, which is read off the reduced basis. Intersections
+identical. `Subspace(...)` is the one way a basis is set: it keeps
+generators that an exact check finds already in that form and eliminates
+all others. Membership needs no elimination: a row x lies in the span
+exactly when x equals (x read at the pivot columns) @ basis. Neither does
+an annihilator basis, which is read off the reduced basis. Intersections
 go through annihilators: the annihilator of a sum is the intersection of
 annihilators, and dualizing twice comes back to the start.
 """
@@ -31,36 +33,27 @@ class Subspace:
     _pivots: tuple[int, ...]  # follows from basis, so equality is unchanged
 
     def __init__(self, spec: FieldSpec, ambient_dim: int, generators: Matrix):
+        """The span of the generators' rows, eliminated unless already canonical."""
         if generators.spec != spec:
             raise MixedFields(f"generators over {generators.spec!r}, spec is {spec!r}")
         if generators.cols != ambient_dim:
             raise AmbientMismatch(
                 f"generators have width {generators.cols}, ambient is {ambient_dim}"
             )
-        reduced, rank, pivots = generators.rref()
+        pivots = _canonical_pivots(generators._a)
+        if pivots is None:
+            generators, rank, pivots = generators.rref()
+            if rank < generators.rows:  # a view would keep the zero rows alive
+                generators = Matrix._adopt(spec, generators._a[:rank].copy())
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", Matrix._adopt(spec, reduced._a[:rank].copy()))
+        object.__setattr__(self, "basis", generators)
         object.__setattr__(self, "_pivots", pivots)
 
     @classmethod
     def span_of(cls, generators: Matrix) -> Subspace:
         """Span of the rows of a matrix."""
         return cls(generators.spec, generators.cols, generators)
-
-    @classmethod
-    def _reduced(cls, spec: FieldSpec, basis: Matrix, pivots: tuple[int, ...]) -> Subspace:
-        """Trusts `basis` to be in canonical form, leading 1s at `pivots`, and
-        eliminates nothing. Two callers hand it such a basis. The tensor
-        construction's I (x) u (x) I is, for u whose first nonzero is a 1 at
-        lead(u): row (b, a) leads at column (b, lead(u), a), rising with the
-        row, and every other row is zero there, its nonzeros lying in columns
-        (b', ., a') with (b', a') != (b, a). `from_json_dict` passes a loaded
-        basis only after `_canonical_pivots` has checked exactly that."""
-        sub = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (spec, basis.cols, basis, pivots)):
-            object.__setattr__(sub, name, value)
-        return sub
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> Subspace:
@@ -168,20 +161,16 @@ class Subspace:
         rows = loaded(payload["basis"], list, "basis")
         if not rows:
             return cls.zero(got, ambient)
-        basis = Matrix.from_json_rows(got, rows)
-        pivots = _canonical_pivots(basis._a) if basis.cols == ambient else None
-        if pivots is None:
-            return cls(got, ambient, basis)
-        return cls._reduced(got, basis, pivots)
+        return cls(got, ambient, Matrix.from_json_rows(got, rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim} over {self.spec!r})"
 
 
 def _canonical_pivots(a: np.ndarray) -> tuple[int, ...] | None:
-    """The pivots of a if a is its own RREF with no zero row, else None: the
-    leading columns rise strictly and a read at them is the identity (a
-    zero row "leads" at column 0, with no 1 there)."""
+    """The pivots of a if a is its own RREF with no zero row, else None, exactly,
+    as Subspace(...) needs: the leading columns rise strictly and a read at them
+    is the identity (a zero row "leads" at column 0, with no 1 there)."""
     if not a.shape[1]:
         return None
     leads = (a != 0).argmax(1)

@@ -1,8 +1,8 @@
 """The decay path without redundant eliminations: annihilator bases read off
 the canonical basis, the restriction step multiplied through C's unit
 columns, coordinate equations gathered from the maps, the first step's
-kernel read off a Kronecker product of two RREFs, loaded canonical bases
-kept as they are, and the elimination counts that follow."""
+kernel read off a Kronecker product of two RREFs, canonical bases kept as
+they are, whether loaded or built, and the elimination counts that follow."""
 
 from __future__ import annotations
 
@@ -138,9 +138,10 @@ def test_decay_trace_eliminates_once_per_member(monkeypatch):
     random.Random(0).shuffle(order)
     eliminated = counted_rref(monkeypatch)
     decay_trace(family, order)
-    # the first member's annihilator, then one elimination of the equations
-    # per later member
-    assert len(eliminated) == family.k == 12
+    # the first member's annihilator unless it is coordinate (its rows e_f are
+    # canonical already), then one elimination of the equations per later member
+    assert family.subspaces[order[0]].is_coordinate
+    assert len(eliminated) == family.k - 1 == 11
 
 
 def test_decay_trace_reads_an_annihilator_only_where_it_multiplies(monkeypatch):
@@ -243,8 +244,10 @@ def test_first_step_eliminates_only_the_annihilator(r, m, monkeypatch):
         eliminated = counted_rref(monkeypatch)
         maps = _restrict(None, MapConstraint.fixing(sub))
         monkeypatch.undo()
-        # N is c x ell; the a c x ell**2 Kronecker system is never eliminated
-        assert [mat.shape for mat in eliminated] == [(ell - sub.dim, ell)]
+        # N is c x ell, and canonical already for a coordinate member; the
+        # c x ell**2 Kronecker system is never eliminated
+        expected = [] if sub.is_coordinate else [(ell - sub.dim, ell)]
+        assert [mat.shape for mat in eliminated] == expected
         assert maps.rows == ell * ell - sub.dim * (ell - sub.dim)
 
 
@@ -279,18 +282,29 @@ def test_a_non_canonical_basis_loads_through_one_elimination(case, monkeypatch):
     rows = NOT_CANONICAL[case]
     expected = Subspace.span_of(Matrix(GF3, rows))
     assert expected == Subspace.span_of(Matrix(GF3, CANONICAL))
-    eliminated = counted_rref(monkeypatch)
-    got = Subspace.from_json_dict({"ambient": 5, "p": 3, "basis": rows})
-    assert len(eliminated) == 1
-    assert got == expected and got._pivots == expected._pivots
+    generators = Matrix(GF3, rows)
+    # the loader and the constructor take the same one path
+    for build in (lambda: Subspace.from_json_dict({"ambient": 5, "p": 3, "basis": rows}),
+                  lambda: Subspace(GF3, 5, generators)):
+        eliminated = counted_rref(monkeypatch)
+        got = build()
+        assert len(eliminated) == 1
+        monkeypatch.undo()
+        assert got == expected and got._pivots == expected._pivots
+        assert got.basis._a.tobytes() == expected.basis._a.tobytes()
 
 
 def test_a_canonical_basis_loads_as_it_is(monkeypatch):
+    generators = Matrix(GF3, CANONICAL)
     eliminated = counted_rref(monkeypatch)
     got = Subspace.from_json_dict({"ambient": 5, "p": 3, "basis": CANONICAL})
+    built = Subspace(GF3, 5, generators)
+    full = Subspace.full(GF3, 7)
     assert eliminated == []
     monkeypatch.undo()
     assert got == Subspace.span_of(Matrix(GF3, CANONICAL)) and got._pivots == (0, 1, 3)
+    assert built == got and built.basis is generators  # adopted, not copied
+    assert full.is_full and full._pivots == tuple(range(7))
 
 
 def test_loaded_entries_reduce_exactly_at_and_beyond_the_int64_range():

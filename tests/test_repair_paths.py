@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msrlab import cli
 from msrlab.errors import IndexOutOfRange, SchemeInvalid
 from msrlab.field import FieldSpec
 from msrlab.matrix import Matrix
@@ -29,6 +30,7 @@ from msrlab.repair import (
     RepairResult,
     SchemeReport,
     VectorCodeSystematic,
+    _evenodd_pair,
     _node_solution,
     as_block,
     check_msr_scheme,
@@ -298,6 +300,17 @@ def test_a_node_multiplies_each_share_once(monkeypatch):
     # the r shares S_{i,m} C[i][m'] of each node m', and nothing more: the
     # other nodes solve against the first share already stacked
     assert len(products) == (n - k) * k == 8
+
+
+def test_evenodd_builds_and_solves_its_code_and_scheme_once(monkeypatch, capsys):
+    _evenodd_pair.cache_clear()
+    eliminated = counted_rref(monkeypatch)
+    assert cli.main(["evenodd"]) == 0
+    # 4 parity ranks for the command's own code, 4 more and 4 repair-row ranks
+    # for the pair evenodd_repair shares, then an inverse and a solve for each
+    # of nodes 0 and 1 over all 16 data words and the sample repairs
+    assert len(eliminated) == 4 + 8 + 4 == 16
+    assert capsys.readouterr().out.startswith("exhaustive check: 64 repairs exact")
 
 
 def test_each_node_is_solved_once_per_code_and_scheme(monkeypatch):

@@ -1,8 +1,10 @@
-"""construct_tensor_family places every factor straight into its ell x ell
-position and hands each basis, already in canonical form, to
-Subspace._reduced. reference_construct is the construction it replaced:
-each map I (x) F (x) I from two Kronecker products with identities, and
-each basis reduced by Subspace.span_of. Both must give the same bytes."""
+"""construct_tensor_family builds each r x r factor in closed form, places
+it straight into its ell x ell position, and places each basis, already
+in canonical form, where Subspace keeps it as it is; it eliminates
+nothing. reference_construct is the construction it replaced: each factor
+V_i^-1 D_s V_i from an inverse and a product, each map I (x) F (x) I from
+two Kronecker products with identities, and each basis reduced by
+Subspace.span_of. Both must give the same bytes."""
 
 from __future__ import annotations
 
@@ -89,6 +91,37 @@ def test_placement_matches_the_kron_construction_on_member_subsets(p):
             for members in (sorted(drawn), drawn, [rng.randrange(size)], [size - 1]):
                 assert_same_bytes(construct_tensor_family(r, m, spec, lam, members=members),
                                   reference_construct(r, m, spec, lam, members))
+
+
+@pytest.mark.parametrize("p", [3, 11, 65537, 2**31 - 1])
+def test_closed_form_factors_match_the_inverse_and_product(p):
+    spec = FieldSpec(p)
+    for r in range(2, 7):
+        vectors = Matrix.identity(spec, r).to_lists() + [[-1] * r]  # e_0..e_{r-1}, v_r
+        for lam in (2, p - 1, (p + 1) // 2):  # one value at p = 3, where 2 is the only one
+            # at m = 1 each map is its factor
+            family = construct_tensor_family(r, 1, spec, lam)
+            for i in range(r + 1):
+                allowed = [idx for idx in range(r + 1) if idx != i]
+                basis = Matrix(spec, [vectors[idx] for idx in allowed])  # V_i
+                inverse = basis.invert()
+                for t in range(1, r):
+                    scale = [lam if idx == (i + t) % (r + 1) else 1 for idx in allowed]
+                    diagonal = Matrix(spec, [[scale[a] * (a == b) for b in range(r)]
+                                             for a in range(r)])  # D_s
+                    assert family.maps[i][t - 1] == inverse @ diagonal @ basis
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+@pytest.mark.parametrize("r,m", [(2, 4), (3, 3), (4, 2)])
+def test_construction_eliminates_nothing(r, m, p, monkeypatch):
+    eliminated = []
+    real = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda self: eliminated.append(self) or real(self))
+    family = construct_tensor_family(r, m, FieldSpec(p), 2)
+    assert eliminated == []
+    monkeypatch.undo()
+    assert family.k == (r + 1) * m and family.verify().ok
 
 
 @pytest.mark.parametrize("r,m", SHAPES)
