@@ -1,20 +1,24 @@
 """Per-layer timings of construction, `verify` and `decay_trace`, written as one BENCH file.
 
-    python3 bench/make_bench.py --out BENCH_20.json           # ell = 16, 27, 81
+    python3 bench/make_bench.py --out BENCH_24.json           # ell = 16, 27, 81
     python3 bench/make_bench.py --tiny --out bench_tiny.json  # ell = 4, 8; one repeat
 
 Run it from the root of a checkout. The inputs are captured, not listed: for
 each ell the script builds the tensor family over GF(3), runs verify() once
-with Matrix.rank and the product kernel wrapped, and keeps every matrix that
-verify ranks and every pair of arrays that it multiplies, grouped by shape.
-Each rank group is timed through Matrix.rank and through rref()[1], the rank
-by elimination alone, on the same matrices; each product group through the
-kernel, `matrix._product`, whose shape is the left operand's shape followed
-by the right one's column count (batch, rows, inner, cols when stacked). A
-row's times are seconds per call: each repeat times one pass over the group
-and divides by its size. `rref_calls` counts the eliminations one pass
-makes. One more row per ell times the whole library verify() of the family,
-whose shape is (k, ell).
+with the batched rank `matrix._ranks` and the product kernel wrapped, and
+keeps the arrays of every `_ranks` call that verify makes, one group per
+call (the k(r-1) maps, then the k regeneration stacks), and every pair of
+arrays that it multiplies, grouped by shape. Each rank group is timed
+through one `_ranks` call and through rref()[1], the rank by elimination
+alone, of each matrix in it; each product group through the kernel,
+`matrix._product`, whose shape is the left operand's shape followed by the
+right one's column count (batch, rows, inner, cols when stacked). A row's
+times are seconds per matrix or product: each repeat times one pass over
+the group and divides by its size. `rref_calls` counts the eliminations one
+pass makes. One more row per ell times the whole library verify() of the
+family, whose shape is (k, ell). Files up to BENCH_20.json time
+`Matrix.rank` once per matrix instead, on the matrices verify then ranked
+one at a time.
 
 Decay is captured the same way: for each ell the script runs
 decay_trace(family, order) along the order of the command line's
@@ -64,7 +68,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from msrlab import msr_family  # noqa: E402
 from msrlab.field import FieldSpec  # noqa: E402
 from msrlab.invariant import decay_trace  # noqa: E402
-from msrlab.matrix import Matrix, _eliminate, _product  # noqa: E402
+from msrlab.matrix import Matrix, _eliminate, _product, _ranks  # noqa: E402
 from msrlab.msr_family import MsrSubspaceFamily, construct_tensor_family  # noqa: E402
 
 P = 3
@@ -74,7 +78,6 @@ DECAY_REPEATS = 5  # a whole trace at ell = 81 takes seconds
 ORDER_SEED = 7  # the command line's --order random:7
 FAMILIES = {16: (2, 4), 27: (3, 3), 81: (3, 4)}  # ell: (r, m), ell = r**m
 TINY_FAMILIES = {4: (2, 2), 8: (2, 3)}
-LAYERS = {"Matrix.rank": Matrix.rank, "rref()[1]": lambda mat: mat.rref()[1]}
 
 
 def git(*args: str) -> str:
@@ -132,18 +135,15 @@ def count_rref(call) -> int:
 
 def rows_for(ell: int, r: int, m: int, repeats: int, stamp: dict) -> list[dict]:
     family = construct_tensor_family(r, m, FieldSpec(P))
-    ranked, multiplied, real = [], [], Matrix.rank
-    Matrix.rank = lambda self: ranked.append(self) or real(self)
+    groups, multiplied = [], []
+    msr_family._ranks = lambda arrays, spec: groups.append(arrays) or _ranks(arrays, spec)
     msr_family._product = lambda a, b, p: multiplied.append((a, b)) or _product(a, b, p)
     try:
         if not family.verify().ok:
             raise SystemExit(f"the ell = {ell} tensor family does not verify")
     finally:
-        Matrix.rank = real
+        msr_family._ranks = _ranks
         msr_family._product = _product
-    groups: dict[tuple[int, int], list[Matrix]] = {}
-    for mat in ranked:
-        groups.setdefault(mat.shape, []).append(mat)
     products: dict[tuple[int, ...], list[tuple]] = {}
     for a, b in multiplied:
         products.setdefault(a.shape + b.shape[-1:], []).append((a, b))
@@ -155,14 +155,14 @@ def rows_for(ell: int, r: int, m: int, repeats: int, stamp: dict) -> list[dict]:
         rows.append({"layer": "matrix._product", "ell": ell, "shape": list(shape),
                      "inputs": len(pairs), "p": P, "rref_calls": count_rref(one_pass),
                      **timed(one_pass, repeats, len(pairs)), **stamp})
-    for shape, mats in groups.items():
-        for layer, rank in LAYERS.items():
-            def one_pass(rank=rank, mats=mats):
-                for mat in mats:
-                    rank(mat)
-            rows.append({"layer": layer, "ell": ell, "shape": list(shape), "inputs": len(mats),
-                         "p": P, "rref_calls": count_rref(one_pass),
-                         **timed(one_pass, repeats, len(mats)), **stamp})
+    for arrays in groups:
+        mats = [Matrix._adopt(family.spec, a) for a in arrays]
+        layers = {"matrix._ranks": lambda: _ranks(arrays, family.spec),
+                  "rref()[1]": lambda: [mat.rref()[1] for mat in mats]}
+        for layer, one_pass in layers.items():
+            rows.append({"layer": layer, "ell": ell, "shape": list(arrays[0].shape),
+                         "inputs": len(arrays), "p": P, "rref_calls": count_rref(one_pass),
+                         **timed(one_pass, repeats, len(arrays)), **stamp})
 
     def verify():
         object.__setattr__(family, "_report", None)  # verify() caches its report

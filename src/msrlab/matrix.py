@@ -19,8 +19,12 @@ the first nonzero entry in column order, so the reduced form of a given row
 space is unique and matrices can be compared entry by entry. A sparse
 matrix, at least 5 x 5 with fewer than 2 * max(shape) nonzeros, is peeled
 first: `rref` takes each row with a single nonzero, in column c, as the
-unit row e_c of its result, and `rank` also drops columns with a single
-nonzero. A dense matrix pays one count of its nonzeros for the test.
+unit row e_c of its result. Ranks have one peel, `_ranks`, which also drops
+columns with a single nonzero and runs over the nonzeros of a whole list of
+same-shape matrices at once: `rank` hands it one matrix, and verify() all
+of a family's maps in one call and all its regeneration stacks in another.
+A dense matrix pays one count of its nonzeros for the test, and a list with
+no sparse matrix one count per matrix.
 
 A Matrix is built in one of two ways only: `Matrix(spec, rows)` from Python
 values, which it reduces, or `Matrix._adopt(spec, arr)` over an int64 array
@@ -112,34 +116,64 @@ def _sparse(a: np.ndarray) -> bool:
     return min(a.shape) > 4 and np.count_nonzero(a) < 2 * max(a.shape)
 
 
-def _singleton_rows(ones: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For ones, 1 at a matrix's nonzeros and 0 elsewhere: the count of
-    nonzeros in each row, and the mask of the columns that hold the one
-    nonzero of some row. ones is `(a != 0)` viewed as int8, an eighth of
-    an int64 copy; summing the bools themselves would page in numpy loops
-    that nothing else here uses, 64 KiB of peak RSS each."""
-    in_rows = ones.sum(1)
-    return in_rows, ones[in_rows == 1].any(0)
-
-
 def _peel_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(rows, cols, peeled) after peeling a's singleton rows, or None when
     a has none. A row whose one nonzero is in column c peels c: every such
     row goes, so does column c, and rows left with one nonzero peel in turn.
     rows and cols index the nonzero rows and columns that are left;
-    peeled masks the peeled columns."""
+    peeled masks the peeled columns. The nonzeros are counted on `(a != 0)`
+    viewed as int8, an eighth of an int64 copy; summing the bools themselves
+    would page in numpy loops that nothing else here uses, 64 KiB of peak
+    RSS each."""
     ones = (a != 0).view(np.int8)
-    in_rows, hit = _singleton_rows(ones)
-    if not hit.any():
-        return None
     rows, cols = np.arange(a.shape[0]), np.arange(a.shape[1])
     peeled = np.zeros(a.shape[1], dtype=bool)
-    while hit.any():
+    while True:
+        in_rows = ones.sum(1)
+        hit = ones[in_rows == 1].any(0)  # the columns of singleton rows
+        if not hit.any():
+            return (rows[in_rows > 0], cols[ones.any(0)], peeled) if peeled.any() else None
         peeled[cols[hit]] = True
         rows, cols = rows[in_rows > 1], cols[~hit]
         ones = ones[in_rows > 1][:, ~hit]
-        in_rows, hit = _singleton_rows(ones)
-    return rows[in_rows > 0], cols[ones.any(0)], peeled
+
+
+def _ranks(arrays: Sequence[np.ndarray], spec: FieldSpec) -> list[int]:
+    """rref()[1] of each of the same-shape arrays, reduced mod p, from one
+    peel over the nonzeros of all of them (LaMacchia and Odlyzko, CRYPTO '90).
+    Array b's entry (i, j) has row key b*n + i and column key b*m + j. A row
+    whose one nonzero is in column c adds 1 per distinct c; the column goes,
+    and with it those rows. Failing such rows, columns with one nonzero go
+    the same way. Zero rows and columns never enter. One bincount per pass
+    counts the keys of every array, so a list pays numpy's per-call cost
+    once, not once per array. rref ranks the core an array keeps, and each
+    array of a list in which `_sparse` finds none to peel, adopted (so
+    frozen) as it is; the peel then runs over every array of the list."""
+    if not any(map(_sparse, arrays)):
+        return [Matrix._adopt(spec, a).rref()[1] for a in arrays]
+    n, m = arrays[0].shape
+    # nonzero() of a bool array is several times faster than of an int64 one
+    flat = np.concatenate([a.ravel() != 0 for a in arrays]).nonzero()[0]
+    rows, cols = flat // m, flat // (n * m) * m + flat % m
+    ranks = np.zeros(len(arrays), dtype=np.int64)
+    while rows.size:
+        for keys, across, width in ((rows, cols, m), (cols, rows, n)):
+            single = np.bincount(keys)[keys] == 1
+            if single.any():
+                break
+        else:
+            break
+        hit = np.zeros(len(arrays) * width, dtype=bool)
+        hit[across[single]] = True
+        ranks += np.bincount(hit.nonzero()[0] // width, minlength=len(arrays))
+        keep = ~hit[across]
+        rows, cols = rows[keep], cols[keep]
+    live_rows, live_cols = np.zeros((len(arrays), n), bool), np.zeros((len(arrays), m), bool)
+    live_rows.ravel()[rows] = live_cols.ravel()[cols] = True
+    for b in live_rows.any(1).nonzero()[0]:
+        core = arrays[b][np.ix_(live_rows[b], live_cols[b])]
+        ranks[b] += Matrix._adopt(spec, core).rref()[1]
+    return ranks.tolist()
 
 
 def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
@@ -395,24 +429,12 @@ class Matrix:
         return Matrix._adopt(self.spec, reduced), pivots.size, tuple(pivots.tolist())
 
     def rank(self) -> int:
-        """rref()[1], after peeling what needs no elimination. A row whose
-        one nonzero is in column c adds 1 per distinct c; the rows go, and
-        so do those columns. Failing such rows, columns with one nonzero go
-        the same way, as rows of the transpose. Zero rows and columns go
-        too. Each pass under the gate of `_sparse` removes something, and a
-        dense matrix costs one count. What is left goes through rref."""
-        a, rank = self._a, 0
-        while _sparse(a):
-            ones = (a != 0).view(np.int8)
-            in_rows, hit = _singleton_rows(ones)
-            if not hit.any():
-                a, ones = a.T, ones.T
-                in_rows, hit = _singleton_rows(ones)
-            rank += int(np.count_nonzero(hit))
-            a = a[in_rows > 1][:, ~hit & ones.any(0)]
-        if a is self._a:
+        """rref()[1]. A dense matrix (`_sparse`) goes straight to rref; a
+        sparse one is peeled first, by `_ranks`, which eliminates only the
+        core that no singleton row or column peels."""
+        if not _sparse(self._a):
             return self.rref()[1]
-        return rank + (Matrix._adopt(self.spec, a).rref()[1] if a.size else 0)
+        return _ranks([self._a], self.spec)[0]
 
     def kernel(self) -> Matrix:
         """Basis of the right null space {x : self @ x = 0}, one solution

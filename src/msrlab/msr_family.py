@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BadLambda, BadParams, FieldTooSmall, StructuralError
 from .field import FieldElement, FieldSpec, _is_integer
-from .matrix import Matrix, _product, loaded
+from .matrix import Matrix, _product, _ranks, loaded
 from .subspace import Subspace, is_direct_sum_full  # noqa: F401 (msrbench traces this binding)
 
 
@@ -180,17 +180,19 @@ class MsrSubspaceFamily:
         one nonzero per basis row, is span(e_P): Y is phi[P] and R[:, F] is
         phi[P][:, F], which one gather per map reads for all of them. The
         other members go in chunks of r, ell x ell like a map: per chunk and
-        map, one product gives each Y and one stacked product each Y @ N_t^T."""
+        map, one product gives each Y and one stacked product each Y @ N_t^T.
+        One reduction per chunk, map and slot says which members' R[:, F] is
+        nonzero. Ranks come from two batched peels (`_ranks`): one of all
+        k(r-1) maps, one of all k regeneration stacks."""
         if self._report is not None:
             return self._report
         ell, r, p = self.ell, self.r, self.spec.p
         d = ell // r
-        invertible = {}
-        for i, row in enumerate(self.maps):
-            for j, phi in enumerate(row, start=1):
-                invertible[(i, j)] = phi.rank() == ell
+        keys = [(i, j) for i in range(self.k) for j in range(1, r)]
+        ranks = _ranks([phi._a for row in self.maps for phi in row], self.spec)
+        invertible = {key: rank == ell for key, rank in zip(keys, ranks)}
         direct_sum = {i: d == ell for i in range(self.k)}  # r = 1: no maps
-        alignment = {}
+        alignment, regenerating = {}, {}
         coordinate, others = [], []
         for t, sub in enumerate(self.subspaces):
             (coordinate if sub.is_coordinate else others).append(t)
@@ -216,17 +218,20 @@ class MsrSubspaceFamily:
                     if not invertible[(other, j)]:  # each member's Y[:, P]
                         images = phi._a[pivots] if members is coordinate else images
                         at_pivots = np.take_along_axis(images, pivots[:, None, :], 2)
+                    moved = residuals.max((1, 2))  # residues >= 0: > 0 where Y leaves H_t
                     for n, t in enumerate(members):
                         if t == other:
                             regeneration.append(residuals[n])
                             continue
-                        alignment[(t, other, j)] = not np.count_nonzero(residuals[n]) and (
+                        alignment[(t, other, j)] = not moved[n] and (
                             invertible[(other, j)]
                             or Matrix._adopt(self.spec, at_pivots[n]).rank() == d
                         )
                 if regeneration:
-                    rank = Matrix._adopt(self.spec, np.concatenate(regeneration)).rank()
-                    direct_sum[other] = d + rank == ell
+                    regenerating[other] = np.concatenate(regeneration)
+        ranks = _ranks(list(regenerating.values()), self.spec)
+        for other, rank in zip(regenerating, ranks):
+            direct_sum[other] = d + rank == ell
         alignment = {key: alignment[key] for key in sorted(alignment)}  # member-major
         report = VerificationReport(
             ell=self.ell,

@@ -397,24 +397,21 @@ _TOP = Matrix(_GF2, [[1, 0]])
 _BOTTOM = Matrix(_GF2, [[0, 1]])
 
 
+@functools.cache
 def evenodd_code() -> VectorCodeSystematic:
+    """The one EVENODD code, built and checked once; it is immutable."""
     return VectorCodeSystematic(
         n=4, k=2, ell=2, spec=_GF2, parity=((_IDENTITY, _IDENTITY), (_MIXER, _IDENTITY))
     )
 
 
+@functools.cache
 def evenodd_scheme() -> GeneralRepairScheme:
     """The published repair rows. Node 0 uses the same row on both parity
     units; node 1 cannot (both its parity coefficients are the identity), so
-    the scheme is general, not constant."""
+    the scheme is general, not constant. Every caller shares one scheme,
+    which keeps each node's solution, so each node is solved once."""
     return GeneralRepairScheme(((_TOP, _BOTTOM), (_TOP, _TOP)))
-
-
-@functools.cache
-def _evenodd_pair() -> tuple[VectorCodeSystematic, GeneralRepairScheme]:
-    """The code and scheme that every evenodd_repair call shares; the scheme
-    keeps each node's solution, so both are built and solved once."""
-    return evenodd_code(), evenodd_scheme()
 
 
 # Hardcoded parity repairs: helper -> selector row, then recovered block =
@@ -432,7 +429,7 @@ def evenodd_repair(blocks: Sequence, node: int) -> RepairResult:
     if len(blocks) != 4:
         raise ShapeMismatch(f"{len(blocks)} blocks, expected 4")
     if node in (0, 1):
-        return repair_node(*_evenodd_pair(), node, blocks)
+        return repair_node(evenodd_code(), evenodd_scheme(), node, blocks)
     stored = {i: as_block(_GF2, 2, blocks[i]) for i in range(4) if i != node}
     selectors, combination = _EVENODD_PARITY_PLANS[node]
     sent = {

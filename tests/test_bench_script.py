@@ -6,7 +6,9 @@ files from BENCH_17.json on also time decay: its eliminations, through
 Matrix.rref and the per-pivot loop alone, and the whole trace per ell,
 once more at ell = 81 over GF(65537). Files from BENCH_19.json on also
 time construct_tensor_family once per ell, and files from BENCH_20.json
-on also time loading that family from its JSON once per ell."""
+on also time loading that family from its JSON once per ell. Files from
+BENCH_24.json on time verify's batched rank calls, `matrix._ranks`, where
+earlier files time `Matrix.rank` once per matrix."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 ROW_KEYS = ["layer", "ell", "shape", "inputs", "p", "rref_calls", "repeats", "median_s",
             "iqr_s", "nproc", "python", "numpy", "commit", "dirty"]
-RANK_LAYERS = {"Matrix.rank", "rref()[1]"}
+RANK_LAYERS = {"Matrix.rank", "matrix._ranks", "rref()[1]"}
 PRODUCT_LAYER = "matrix._product"
 RREF_LAYERS = {"Matrix.rref", "matrix._eliminate"}
 DECAY_LAYER = "decay_trace"
@@ -35,9 +37,11 @@ FIRST_IS_COORDINATE = {4: 1, 8: 1, 16: 1, 27: 0, 81: 0}
 
 
 def check_schema(payload: dict, ells: set[int], repeats: int | None = None,
-                 inverses: bool = False):
+                 inverses: bool = False, batched: bool = True):
     """inverses: written when construction inverted each r x r factor and
-    every Subspace eliminated its generators, as up to BENCH_20.json."""
+    every Subspace eliminated its generators, as up to BENCH_20.json.
+    batched: verify's ranks timed per `_ranks` call, from BENCH_24.json on;
+    before, per matrix through Matrix.rank."""
     assert list(payload) == ["rows"]
     rows = payload["rows"]
     for row in rows:
@@ -78,7 +82,12 @@ def check_schema(payload: dict, ells: set[int], repeats: int | None = None,
     # both rank layers time the same captured inputs, and every ell has a verify row
     by_layer = {layer: sorted((r["ell"], r["shape"], r["inputs"]) for r in rows
                               if r["layer"] == layer) for layer in RANK_LAYERS | RREF_LAYERS}
-    assert by_layer["Matrix.rank"] == by_layer["rref()[1]"] != []
+    rank_layer, other = ("matrix._ranks", "Matrix.rank") if batched else ("Matrix.rank",
+                                                                          "matrix._ranks")
+    assert by_layer[rank_layer] == by_layer["rref()[1]"] != [] and by_layer[other] == []
+    if batched:
+        # two calls per ell: the k(r-1) maps, then the k regeneration stacks
+        assert sorted(ell for ell, _, _ in by_layer[rank_layer]) == sorted(2 * list(ells))
     assert by_layer["Matrix.rref"] == by_layer["matrix._eliminate"]
     assert {r["ell"] for r in rows if r["layer"] == "MsrSubspaceFamily.verify"} == ells
 
@@ -120,17 +129,18 @@ def test_tiny_mode_writes_the_schema(tmp_path):
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_bench_files_keep_the_schema(path):
     rows = json.loads(path.read_text())
-    check_schema(rows, {16, 27, 81}, inverses=int(path.stem.split("_")[1]) <= 20)
+    number = int(path.stem.split("_")[1])
+    check_schema(rows, {16, 27, 81}, inverses=number <= 20, batched=number >= 24)
     # at these sizes every rank of verify is decided by the peel
     assert all(r["rref_calls"] == 0 for r in rows["rows"]
                if r["layer"] in VERIFY_LAYERS - {"rref()[1]"})
-    if int(path.stem.split("_")[1]) >= 14:
+    if number >= 14:
         assert {r["ell"] for r in rows["rows"] if r["layer"] == PRODUCT_LAYER} == {16, 27, 81}
-    if int(path.stem.split("_")[1]) > 14:
+    if number > 14:
         assert all("source_sha256" in r for r in rows["rows"])
-    if int(path.stem.split("_")[1]) >= 17:
+    if number >= 17:
         check_decay_rows(rows, {16, 27, 81}, large_p=True)
-    if int(path.stem.split("_")[1]) >= 19:
+    if number >= 19:
         check_construct_rows(rows, {16, 27, 81})
-    if int(path.stem.split("_")[1]) >= 20:
+    if number >= 20:
         check_load_rows(rows, {16, 27, 81})

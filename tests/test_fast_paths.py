@@ -348,16 +348,18 @@ def test_verify_runs_once_per_family(monkeypatch):
 def test_verify_ranks_each_regeneration_stack_once(monkeypatch):
     family = construct_tensor_family(3, 2, GF5, 2)
     maps = [phi for row in family.maps for phi in row]
-    ranked = []
-    real = Matrix.rank
-    monkeypatch.setattr(Matrix, "rank", lambda self: ranked.append(self) or real(self))
+    calls = []
+    real = msr_family._ranks
+    monkeypatch.setattr(msr_family, "_ranks",
+                        lambda arrays, spec: calls.append(arrays) or real(arrays, spec))
+    monkeypatch.setattr(Matrix, "rank", lambda self: pytest.fail("Matrix.rank called"))
     assert family.verify().ok
-    # one rank per map, then one rank per member of its residual at the free
-    # columns: (r-1) * ell/r rows, ell - ell/r columns
-    stacks = [mat for mat in ranked if not any(mat is phi for phi in maps)]
+    # two batched calls: all k(r-1) maps, then each member's residual at the
+    # free columns stacked over its slots, (r-1) * ell/r x (ell - ell/r)
     d = family.ell // family.r
-    assert len(ranked) == len(maps) + family.k
-    assert [mat.shape for mat in stacks] == [((family.r - 1) * d, family.ell - d)] * family.k
+    assert len(calls) == 2
+    assert len(calls[0]) == len(maps) and all(a is phi._a for a, phi in zip(calls[0], maps))
+    assert [a.shape for a in calls[1]] == [((family.r - 1) * d, family.ell - d)] * family.k
 
 
 def test_verify_makes_two_products_per_chunk_map_and_slot(monkeypatch):

@@ -51,6 +51,7 @@ RUNS = {
     "evenodd-repair-3": "evenodd --repair 3",
     "verify-pass": "verify --in fam16.json",
     "verify-fail": "verify --in bad_family.json",
+    "verify-fail-verdicts": "verify --in broken16.json",
     "bound-pass": "bound --in fam8.json",
     "repair-check-pass": "repair-check --code code.json --scheme scheme.json",
     "repair-check-fail": "repair-check --code small_code.json --scheme small_broken.json",
@@ -72,6 +73,12 @@ def write_inputs() -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         for name, m in (("fam16.json", 4), ("fam8.json", 3)):
             assert main(["construct", "--r", "2", "--m", str(m), "--p", "3", "--out", name]) == 0
+    # fam16 with member 0's map the identity, which cannot regenerate, and row 5
+    # of member 1's map zeroed, a sparse singular map
+    family = json.loads(Path("fam16.json").read_text())
+    family["maps"][0][0]["data"] = [[int(i == j) for j in range(16)] for i in range(16)]
+    family["maps"][1][0]["data"][5] = [0] * 16
+    _write("broken16.json", family)
     # two lines of F_3^2 whose maps both swap them, so each map moves the
     # other member and both alignment checks fail
     swap = {"rows": 2, "cols": 2, "p": 3, "data": [[0, 1], [1, 0]]}

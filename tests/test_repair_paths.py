@@ -30,11 +30,12 @@ from msrlab.repair import (
     RepairResult,
     SchemeReport,
     VectorCodeSystematic,
-    _evenodd_pair,
     _node_solution,
     as_block,
     check_msr_scheme,
     cutset_bound,
+    evenodd_code,
+    evenodd_scheme,
     extract_family,
     random_constant_instance,
     repair_node,
@@ -303,13 +304,15 @@ def test_a_node_multiplies_each_share_once(monkeypatch):
 
 
 def test_evenodd_builds_and_solves_its_code_and_scheme_once(monkeypatch, capsys):
-    _evenodd_pair.cache_clear()
+    evenodd_code.cache_clear()
+    evenodd_scheme.cache_clear()
     eliminated = counted_rref(monkeypatch)
     assert cli.main(["evenodd"]) == 0
-    # 4 parity ranks for the command's own code, 4 more and 4 repair-row ranks
-    # for the pair evenodd_repair shares, then an inverse and a solve for each
-    # of nodes 0 and 1 over all 16 data words and the sample repairs
-    assert len(eliminated) == 4 + 8 + 4 == 16
+    # 4 parity ranks for the one code that the command and evenodd_repair
+    # share, 4 repair-row ranks for the shared scheme, then an inverse and a
+    # solve for each of nodes 0 and 1 over all 16 data words and the samples
+    assert len(eliminated) == 4 + 4 + 4 == 12
+    assert evenodd_code() is evenodd_code() and evenodd_scheme() is evenodd_scheme()
     assert capsys.readouterr().out.startswith("exhaustive check: 64 repairs exact")
 
 

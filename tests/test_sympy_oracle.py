@@ -17,7 +17,7 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError  # noqa: 
 
 from msrlab.errors import Singular  # noqa: E402
 from msrlab.field import FieldSpec  # noqa: E402
-from msrlab.matrix import Matrix  # noqa: E402
+from msrlab.matrix import Matrix, _ranks  # noqa: E402
 
 PRIMES = (2, 3, 7, 2**31 - 1)
 
@@ -81,6 +81,31 @@ def test_rref_matches_sympy_at_the_row_sparse_threshold(mat):
     assert reduced.to_lists() == to_ints(expected)
     assert pivots == tuple(expected_pivots)
     assert rank == len(expected_pivots)
+
+
+@st.composite
+def sparse_stacks(draw):
+    """0 to 5 same-shape matrices of at least 5 x 5 with 0 to 3 nonzeros per
+    row, sparse enough that `_ranks` peels them together and some keep a
+    core for rref."""
+    p = draw(st.sampled_from((2, 3, 65537, 2**31 - 1)))
+    rows, cols = draw(st.integers(5, 9)), draw(st.integers(5, 9))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(0, 5))):
+        data = [[0] * cols for _ in range(rows)]
+        for row in data:
+            for j in rng.sample(range(cols), rng.randrange(4)):
+                row[j] = rng.randrange(1, p)
+        stack.append(Matrix(FieldSpec(p), data))
+    return stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_stacks())
+def test_batched_ranks_match_sympy(stack):
+    ranks = _ranks([mat._a for mat in stack], stack[0].spec) if stack else []
+    assert ranks == [to_sympy(mat).rank() for mat in stack]
 
 
 @settings(max_examples=150, deadline=None)
