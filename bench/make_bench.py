@@ -1,24 +1,27 @@
 """Per-layer timings of construction, `verify` and `decay_trace`, written as one BENCH file.
 
-    python3 bench/make_bench.py --out BENCH_24.json           # ell = 16, 27, 81
+    python3 bench/make_bench.py --out BENCH_26.json           # ell = 16, 27, 81
     python3 bench/make_bench.py --tiny --out bench_tiny.json  # ell = 4, 8; one repeat
 
 Run it from the root of a checkout. The inputs are captured, not listed: for
 each ell the script builds the tensor family over GF(3), runs verify() once
-with the batched rank `matrix._ranks` and the product kernel wrapped, and
-keeps the arrays of every `_ranks` call that verify makes, one group per
-call (the k(r-1) maps, then the k regeneration stacks), and every pair of
-arrays that it multiplies, grouped by shape. Each rank group is timed
-through one `_ranks` call and through rref()[1], the rank by elimination
-alone, of each matrix in it; each product group through the kernel,
-`matrix._product`, whose shape is the left operand's shape followed by the
-right one's column count (batch, rows, inner, cols when stacked). A row's
-times are seconds per matrix or product: each repeat times one pass over
-the group and divides by its size. `rref_calls` counts the eliminations one
-pass makes. One more row per ell times the whole library verify() of the
-family, whose shape is (k, ell). Files up to BENCH_20.json time
-`Matrix.rank` once per matrix instead, on the matrices verify then ranked
-one at a time.
+with the batched rank `matrix._ranks` and the float32 kernel
+`matrix._float_product` wrapped, and keeps the arrays of every `_ranks`
+call that verify makes, one group per call (the k(r-1) maps, then the k
+regeneration stacks), and the operands of every kernel call, grouped by
+shape. Each rank group is timed through one `_ranks` call and through
+rref()[1], the rank by elimination alone, of each matrix in it. Each kernel
+group is timed through `_float_product` and through one int64
+`matrix._product` per map on the same operands, as verify() multiplied
+before it batched its maps; a kernel call's shape is the batch of maps,
+then rows, inner and cols, with the chunk's members before rows for the
+images against the annihilators. A row's times are seconds per matrix or
+kernel call: each repeat times one pass over the group and divides by its
+size. `rref_calls` counts the eliminations one pass makes. One more row
+per ell times the whole library verify() of the family, whose shape is
+(k, ell). Files up to BENCH_24.json time `matrix._product` on one map at a
+time, and files up to BENCH_20.json `Matrix.rank` once per matrix instead
+of `_ranks`, on the matrices verify then ranked one at a time.
 
 Decay is captured the same way: for each ell the script runs
 decay_trace(family, order) along the order of the command line's
@@ -68,7 +71,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from msrlab import msr_family  # noqa: E402
 from msrlab.field import FieldSpec  # noqa: E402
 from msrlab.invariant import decay_trace  # noqa: E402
-from msrlab.matrix import Matrix, _eliminate, _product, _ranks  # noqa: E402
+from msrlab.matrix import Matrix, _eliminate, _float_product, _product, _ranks  # noqa: E402
 from msrlab.msr_family import MsrSubspaceFamily, construct_tensor_family  # noqa: E402
 
 P = 3
@@ -133,28 +136,45 @@ def count_rref(call) -> int:
     return len(eliminated(call))
 
 
+def kernel_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
+    """The batch np.matmul broadcasts a and b to, then rows, inner and cols."""
+    return np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + a.shape[-2:] + b.shape[-1:]
+
+
+def per_map(a: np.ndarray, b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One batched kernel call of verify() as int64 operands of one `_product`
+    per map, as verify() multiplied before: the maps run along the leading
+    axis of the operand with more axes (the stack of maps, or of images)."""
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    return [(part, b) for part in a] if a.ndim > b.ndim else [(a, part) for part in b]
+
+
 def rows_for(ell: int, r: int, m: int, repeats: int, stamp: dict) -> list[dict]:
     family = construct_tensor_family(r, m, FieldSpec(P))
     groups, multiplied = [], []
     msr_family._ranks = lambda arrays, spec: groups.append(arrays) or _ranks(arrays, spec)
-    msr_family._product = lambda a, b, p: multiplied.append((a, b)) or _product(a, b, p)
+    msr_family._float_product = (
+        lambda a, b, p: multiplied.append((a, b)) or _float_product(a, b, p))
     try:
         if not family.verify().ok:
             raise SystemExit(f"the ell = {ell} tensor family does not verify")
     finally:
         msr_family._ranks = _ranks
-        msr_family._product = _product
+        msr_family._float_product = _float_product
     products: dict[tuple[int, ...], list[tuple]] = {}
     for a, b in multiplied:
-        products.setdefault(a.shape + b.shape[-1:], []).append((a, b))
+        products.setdefault(kernel_shape(a, b), []).append((a, b))
     rows = []
     for shape, pairs in products.items():
-        def one_pass(pairs=pairs):
-            for a, b in pairs:
-                _product(a, b, P)
-        rows.append({"layer": "matrix._product", "ell": ell, "shape": list(shape),
-                     "inputs": len(pairs), "p": P, "rref_calls": count_rref(one_pass),
-                     **timed(one_pass, repeats, len(pairs)), **stamp})
+        maps = [per_map(a, b) for a, b in pairs]
+        layers = {"matrix._float_product": lambda pairs=pairs: [_float_product(a, b, P)
+                                                               for a, b in pairs],
+                  "matrix._product": lambda maps=maps: [_product(a, b, P)
+                                                        for call in maps for a, b in call]}
+        for layer, one_pass in layers.items():
+            rows.append({"layer": layer, "ell": ell, "shape": list(shape), "inputs": len(pairs),
+                         "p": P, "rref_calls": count_rref(one_pass),
+                         **timed(one_pass, repeats, len(pairs)), **stamp})
     for arrays in groups:
         mats = [Matrix._adopt(family.spec, a) for a in arrays]
         layers = {"matrix._ranks": lambda: _ranks(arrays, family.spec),

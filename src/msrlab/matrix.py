@@ -1,15 +1,14 @@
 """Dense matrices over GF(p) with exact elimination.
 
 Entries live in read-only numpy int64 arrays, reduced mod p. Every product
-runs in one kernel, `_product`: `@` wraps it, and verify() feeds it r
-members at a time, ceil(k'/r) chunks of the k' members not spanned by
-unit rows (it reads the others' blocks off the maps without a product),
-whose residuals at the free columns are Y @ N^T for images Y and
-annihilator bases N (N has 1 at free column f and -H[:, f] at the
-pivots). All k members at once cost the sweep about 6% more peak RSS.
-A product of at least 4096 multiply-adds whose dot products stay below 2**24
-(inner * (p-1)**2 < 2**24) runs in float32 BLAS, which carries those
-integers exactly. Every other product runs in int64, the fallback and the
+runs in `_product`, which `@` wraps, or in its float32 kernel
+`_float_product`, which takes and returns float32 residues: one BLAS matmul,
+reduced mod p inside the carrier. It is exact when the dot products stay
+below 2**24 (inner * (p-1)**2 < 2**24). verify() runs that kernel directly
+inside the bound, on operands it casts once, one product pair per chunk of
+r members and batch of maps (see its docstring), and `_product` outside it.
+`_product` takes the kernel for a product of at least 4096 multiply-adds
+inside the bound. Every other product runs in int64, the fallback and the
 reference: the modulus is capped at 2**31 - 1, so any product of two
 residues fits in an int64, and dot products are accumulated in blocks small
 enough that no intermediate ever reaches 2**63. When a whole product is
@@ -73,22 +72,34 @@ def loaded(value, kind: type, what: str):
     return value
 
 
+def _float_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as a fresh float32 array, for float32 arrays of residues
+    with inner * (p-1)**2 < 2**24, 2-D or stacked as np.matmul broadcasts them.
+
+    float32 carries the product exactly (Dumas, Giorgi, Pernet, ACM TOMS
+    2008): every partial sum, in any order and with or without FMA, is an
+    integer x < 2**24. So is the reduction x - p*floor(x/p): for x = qp + s,
+    0 <= s < p, x/p < 2**24/p, where half the float32 spacing is below 1/p,
+    and x/p is at least 1/p below q + 1, so the rounded x/p stays in
+    [q, q+1) and floor gives q; q*p <= x and x - q*p are then exact."""
+    prod = np.matmul(a, b)
+    quotient = prod / p
+    np.floor(quotient, out=quotient)
+    quotient *= p
+    prod -= quotient
+    return prod
+
+
 def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p as a fresh int64 array, for int64 arrays reduced mod p,
-    2-D or stacked as np.matmul takes them, with a's stack covering b's."""
+    2-D or stacked as np.matmul broadcasts them. Inside `_float_product`'s
+    bound a product of at least 4096 multiply-adds runs there (below that
+    int64 beats the conversions); the rest in int64, whose sums stay < 2**63."""
     inner = a.shape[-1]
     # Largest run of products that cannot overflow when summed.
     step = max(1, (2**62) // ((p - 1) ** 2 + 1))
     if a.size * b.shape[-1] >= 4096 and inner * (p - 1) ** 2 < 2**24:
-        # float32 as an exact integer carrier (Dumas, Giorgi, Pernet,
-        # ACM TOMS 2008). Entries are residues in [0, p), so each product
-        # is at most (p-1)**2 and every partial sum, in any order and
-        # with or without FMA, is an integer of at most inner*(p-1)**2
-        # < 2**24. float32 holds every integer up to 2**24 exactly, so
-        # BLAS returns the exact integer product. Below 4096
-        # multiply-adds the int64 product is faster than the conversions.
-        prod = np.matmul(a.astype(np.float32), b.astype(np.float32)).astype(np.int64)
-        prod %= p  # in place: a second int64 copy would set peak memory
+        prod = _float_product(a.astype(np.float32), b.astype(np.float32), p).astype(np.int64)
     elif inner <= step:
         prod = np.matmul(a, b)
         prod %= p
@@ -97,7 +108,8 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         # is below (p-1) * 2**16 <= 2**47, so each chunk sums at least
         # 2**15 terms, where a whole product may take just one
         step = 2**62 // ((p - 1) * 2**16)
-        prod = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        prod = np.zeros(shape, dtype=np.int64)
         for limb in (b >> 16, b & 0xFFFF):
             prod <<= 16
             for start in range(0, inner, step):

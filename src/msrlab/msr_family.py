@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BadLambda, BadParams, FieldTooSmall, StructuralError
 from .field import FieldElement, FieldSpec, _is_integer
-from .matrix import Matrix, _product, _ranks, loaded
+from .matrix import Matrix, _float_product, _product, _ranks, loaded
 from .subspace import Subspace, is_direct_sum_full  # noqa: F401 (msrbench traces this binding)
 
 
@@ -179,59 +179,65 @@ class MsrSubspaceFamily:
         exactly when the images sum directly to F^ell. A coordinate member,
         one nonzero per basis row, is span(e_P): Y is phi[P] and R[:, F] is
         phi[P][:, F], which one gather per map reads for all of them. The
-        other members go in chunks of r, ell x ell like a map: per chunk and
-        map, one product gives each Y and one stacked product each Y @ N_t^T.
-        One reduction per chunk, map and slot says which members' R[:, F] is
-        nonzero. Ranks come from two batched peels (`_ranks`): one of all
-        k(r-1) maps, one of all k regeneration stacks."""
+        other members go in chunks of r, the maps in stacks of at most 2**14
+        entries (at least one map). Per chunk and stack, one product gives
+        every Y and one every Y @ N_t^T, and one max over the last axis says
+        which members' R[:, F] is nonzero. Inside `_float_product`'s bound,
+        ell * (p-1)**2 < 2**24, they run on float32 residues cast once per
+        chunk and stack; outside it on int64 through `_product`. Ranks come
+        from two batched peels (`_ranks`): one of all k(r-1) maps, one of
+        all k regeneration stacks."""
         if self._report is not None:
             return self._report
         ell, r, p = self.ell, self.r, self.spec.p
         d = ell // r
         keys = [(i, j) for i in range(self.k) for j in range(1, r)]
-        ranks = _ranks([phi._a for row in self.maps for phi in row], self.spec)
-        invertible = {key: rank == ell for key, rank in zip(keys, ranks)}
-        direct_sum = {i: d == ell for i in range(self.k)}  # r = 1: no maps
-        alignment, regenerating = {}, {}
+        maps = [phi._a for row in self.maps for phi in row]
+        invertible = {key: rank == ell for key, rank in zip(keys, _ranks(maps, self.spec))}
+        exact32 = ell * (p - 1) ** 2 < 2**24  # every dot product is a float32 integer
+        carrier, product = (np.float32, _float_product) if exact32 else (np.int64, _product)
         coordinate, others = [], []
         for t, sub in enumerate(self.subspaces):
             (coordinate if sub.is_coordinate else others).append(t)
         # r members at a time: all k at once raised sweep's peak RSS by 6%
         groups = [coordinate] + [others[first : first + r] for first in range(0, len(others), r)]
+        chunks = []  # (members, pivots, flat (P, F) indices or bases, annihilators)
         for members in filter(None, groups):
             chunk = [self.subspaces[t] for t in members]
             pivots = np.array([sub._pivots for sub in chunk])
             if members is coordinate:
                 free = np.array([sub.basis._free_columns(sub._pivots) for sub in chunk])
-                blocks = pivots[:, :, None] * ell + free[:, None, :]  # flat (P, F) indices
+                chunks.append((members, pivots, pivots[:, :, None] * ell + free[:, None, :], None))
             else:
-                bases = np.concatenate([sub.basis._a for sub in chunk])
-                annihilators = np.array([sub.annihilator_basis()._a.T for sub in chunk])
-            for other, row in enumerate(self.maps):
-                regeneration = []
-                for j, phi in enumerate(row, start=1):
-                    if members is coordinate:
-                        residuals = phi._a.take(blocks)
-                    else:
-                        images = _product(bases, phi._a, p).reshape(len(chunk), d, ell)
-                        residuals = _product(images, annihilators, p)
+                bases = np.concatenate([sub.basis._a for sub in chunk], dtype=carrier)
+                annihilators = np.array([s.annihilator_basis()._a.T for s in chunk], dtype=carrier)
+                chunks.append((members, pivots, bases, annihilators))
+        alignment, stacks = {}, np.empty((self.k, (r - 1) * d, ell - d), dtype=np.int64)
+        size = max(1, 2**14 // ell**2)  # all maps in one stack raised sweep's peak RSS by 3 MiB
+        for first in range(0, len(keys), size):
+            batch = keys[first : first + size]
+            stack = np.array(maps[first : first + size], dtype=carrier)
+            for members, pivots, bases, annihilators in chunks:
+                if annihilators is None:
+                    residuals = stack.reshape(len(batch), -1).take(bases, axis=1)
+                else:
+                    images = product(bases, stack, p).reshape(len(batch), len(members), d, ell)
+                    residuals = product(images, annihilators, p)
+                # residues >= 0: > 0 where Y leaves H_t
+                moved = residuals.reshape(len(batch), len(members), -1).max(-1)
+                for b, (other, j) in enumerate(batch):
                     if not invertible[(other, j)]:  # each member's Y[:, P]
-                        images = phi._a[pivots] if members is coordinate else images
-                        at_pivots = np.take_along_axis(images, pivots[:, None, :], 2)
-                    moved = residuals.max((1, 2))  # residues >= 0: > 0 where Y leaves H_t
+                        own = stack[b][pivots] if annihilators is None else images[b]
+                        at_pivots = np.take_along_axis(own, pivots[:, None, :], 2).astype(np.int64)
                     for n, t in enumerate(members):
                         if t == other:
-                            regeneration.append(residuals[n])
+                            stacks[t, (j - 1) * d : j * d] = residuals[b, n]
                             continue
-                        alignment[(t, other, j)] = not moved[n] and (
+                        alignment[(t, other, j)] = not moved[b, n] and (
                             invertible[(other, j)]
                             or Matrix._adopt(self.spec, at_pivots[n]).rank() == d
                         )
-                if regeneration:
-                    regenerating[other] = np.concatenate(regeneration)
-        ranks = _ranks(list(regenerating.values()), self.spec)
-        for other, rank in zip(regenerating, ranks):
-            direct_sum[other] = d + rank == ell
+        direct_sum = {t: d + rank == ell for t, rank in enumerate(_ranks(list(stacks), self.spec))}
         alignment = {key: alignment[key] for key in sorted(alignment)}  # member-major
         report = VerificationReport(
             ell=self.ell,

@@ -8,7 +8,10 @@ once more at ell = 81 over GF(65537). Files from BENCH_19.json on also
 time construct_tensor_family once per ell, and files from BENCH_20.json
 on also time loading that family from its JSON once per ell. Files from
 BENCH_24.json on time verify's batched rank calls, `matrix._ranks`, where
-earlier files time `Matrix.rank` once per matrix."""
+earlier files time `Matrix.rank` once per matrix. Files from BENCH_26.json
+on time verify's float32 kernel calls, `matrix._float_product`, each on a
+chunk and a batch of maps, against one `matrix._product` per map on the
+same operands; earlier files time `matrix._product` on one map at a time."""
 
 from __future__ import annotations
 
@@ -25,23 +28,28 @@ ROW_KEYS = ["layer", "ell", "shape", "inputs", "p", "rref_calls", "repeats", "me
             "iqr_s", "nproc", "python", "numpy", "commit", "dirty"]
 RANK_LAYERS = {"Matrix.rank", "matrix._ranks", "rref()[1]"}
 PRODUCT_LAYER = "matrix._product"
+KERNEL_LAYER = "matrix._float_product"
 RREF_LAYERS = {"Matrix.rref", "matrix._eliminate"}
 DECAY_LAYER = "decay_trace"
 CONSTRUCT_LAYER = "construct_tensor_family"
 LOAD_LAYER = "MsrSubspaceFamily.from_json_dict"
-VERIFY_LAYERS = RANK_LAYERS | {"MsrSubspaceFamily.verify", PRODUCT_LAYER}
+VERIFY_LAYERS = RANK_LAYERS | {"MsrSubspaceFamily.verify", PRODUCT_LAYER, KERNEL_LAYER}
 LARGE_P = 65537
 # 1 where the first member of the ell's `--order random:7` is coordinate, so
 # that decay reads its annihilator off as it is, with no elimination
 FIRST_IS_COORDINATE = {4: 1, 8: 1, 16: 1, 27: 0, 81: 0}
+# verify's kernel calls per ell over GF(3), two per chunk and batch of maps
+KERNEL_CALLS = {4: 2, 8: 4, 16: 4, 27: 4, 81: 64}
 
 
 def check_schema(payload: dict, ells: set[int], repeats: int | None = None,
-                 inverses: bool = False, batched: bool = True):
+                 inverses: bool = False, batched: bool = True, kernel: bool = True):
     """inverses: written when construction inverted each r x r factor and
     every Subspace eliminated its generators, as up to BENCH_20.json.
     batched: verify's ranks timed per `_ranks` call, from BENCH_24.json on;
-    before, per matrix through Matrix.rank."""
+    before, per matrix through Matrix.rank.
+    kernel: verify's products timed per float32 kernel call, from
+    BENCH_26.json on; before, per map through `matrix._product`."""
     assert list(payload) == ["rows"]
     rows = payload["rows"]
     for row in rows:
@@ -49,8 +57,13 @@ def check_schema(payload: dict, ells: set[int], repeats: int | None = None,
         assert row["layer"] in VERIFY_LAYERS | RREF_LAYERS | {DECAY_LAYER, CONSTRUCT_LAYER,
                                                               LOAD_LAYER}
         assert row["ell"] in ells
-        # a product's shape is rows, inner, cols, led by the batch when stacked
-        sizes = (3, 4) if row["layer"] == PRODUCT_LAYER else (2,)
+        # a product's shape is rows, inner, cols, led by the batch when stacked;
+        # a kernel call's by the batch of maps, then the chunk's members for the
+        # images against the annihilators
+        if row["layer"] in {PRODUCT_LAYER, KERNEL_LAYER}:
+            sizes = (4, 5) if kernel else (3, 4)
+        else:
+            sizes = (2,)
         assert len(row["shape"]) in sizes and all(type(n) is int and n > 0 for n in row["shape"])
         assert type(row["inputs"]) is int and row["inputs"] > 0
         large = row["p"] == LARGE_P and row["layer"] == DECAY_LAYER and row["ell"] == 81
@@ -89,6 +102,15 @@ def check_schema(payload: dict, ells: set[int], repeats: int | None = None,
         # two calls per ell: the k(r-1) maps, then the k regeneration stacks
         assert sorted(ell for ell, _, _ in by_layer[rank_layer]) == sorted(2 * list(ells))
     assert by_layer["Matrix.rref"] == by_layer["matrix._eliminate"]
+    # the kernel and the per-map products time the same captured calls
+    products = {layer: sorted((r["ell"], r["shape"], r["inputs"]) for r in rows
+                              if r["layer"] == layer) for layer in (PRODUCT_LAYER, KERNEL_LAYER)}
+    if kernel:
+        assert products[KERNEL_LAYER] == products[PRODUCT_LAYER] != []
+        calls = {ell: sum(n for e, _, n in products[KERNEL_LAYER] if e == ell) for ell in ells}
+        assert calls == {ell: KERNEL_CALLS[ell] for ell in ells}
+    else:
+        assert products[KERNEL_LAYER] == []
     assert {r["ell"] for r in rows if r["layer"] == "MsrSubspaceFamily.verify"} == ells
 
 
@@ -130,7 +152,8 @@ def test_tiny_mode_writes_the_schema(tmp_path):
 def test_committed_bench_files_keep_the_schema(path):
     rows = json.loads(path.read_text())
     number = int(path.stem.split("_")[1])
-    check_schema(rows, {16, 27, 81}, inverses=number <= 20, batched=number >= 24)
+    check_schema(rows, {16, 27, 81}, inverses=number <= 20, batched=number >= 24,
+                 kernel=number >= 26)
     # at these sizes every rank of verify is decided by the peel
     assert all(r["rref_calls"] == 0 for r in rows["rows"]
                if r["layer"] in VERIFY_LAYERS - {"rref()[1]"})

@@ -362,29 +362,42 @@ def test_verify_ranks_each_regeneration_stack_once(monkeypatch):
     assert [a.shape for a in calls[1]] == [((family.r - 1) * d, family.ell - d)] * family.k
 
 
-def test_verify_makes_two_products_per_chunk_map_and_slot(monkeypatch):
+def test_verify_makes_two_kernel_calls_per_chunk_and_batch(monkeypatch):
     # coordinate members are read off the maps; the k' others go in chunks
-    # of r: two kernel products per chunk, map row and slot, at most
-    # 2 (r-1) k ceil(k'/r) in all
+    # of r and the k(r-1) maps in batches of max(1, 2**14 // ell**2): two
+    # kernel calls per chunk and batch, on float32 residues where
+    # ell * (p-1)**2 < 2**24 and through _product otherwise
     rng = random.Random(4)
     families = [construct_tensor_family(3, 2, GF5, 2), construct_tensor_family(2, 3, GF3, 2),
                 eigen_family(GF5, 6, 3, 4, rng), eigen_family(BIG, 4, 2, 3, rng)]
-    products = []
-    real = matrix._product
+    calls = []
 
-    def counted(a, b, p):
-        products.append(1)
-        return real(a, b, p)
+    def counted(name, real):
+        return lambda a, b, p: calls.append(name) or real(a, b, p)
 
-    monkeypatch.setattr(matrix, "_product", counted)
-    monkeypatch.setattr(msr_family, "_product", counted)
+    monkeypatch.setattr(matrix, "_product", counted("_product", matrix._product))
+    monkeypatch.setattr(msr_family, "_product", matrix._product)
+    monkeypatch.setattr(msr_family, "_float_product",
+                        counted("_float_product", msr_family._float_product))
     monkeypatch.setattr(Subspace, "coordinates", lambda *args: pytest.fail("coordinates called"))
     for family in families:
-        products.clear()
+        calls.clear()
         family.verify()
         others = sum(not is_coordinate(sub) for sub in family.subspaces)
         chunks = -(-others // family.r)
-        assert 0 < len(products) <= 2 * (family.r - 1) * family.k * chunks
+        batches = -(-family.k * (family.r - 1) // max(1, 2**14 // family.ell**2))
+        assert 0 < len(calls) == 2 * chunks * batches
+        p = family.spec.p
+        assert set(calls) == {"_float_product" if family.ell * (p - 1) ** 2 < 2**24 else "_product"}
+    # the sweep grid: two maps per batch at ell = 81, all of them in one below
+    per_ell = {}
+    for r, m in itertools.product((2, 3), (1, 2, 3, 4)):
+        family = construct_tensor_family(r, m, GF5, 3)
+        calls.clear()
+        family.verify()
+        per_ell[family.ell] = len(calls)
+    assert per_ell == {2: 2, 4: 2, 8: 4, 16: 4, 3: 2, 9: 2, 27: 4, 81: 64}
+    assert sum(per_ell.values()) == 84
 
 
 @pytest.mark.parametrize("spec", [GF5, BIG], ids=lambda s: f"p{s.p}")
@@ -504,7 +517,8 @@ def test_a_coordinate_member_with_a_perturbed_own_map_fails_regeneration(p):
 @pytest.mark.parametrize("p", COORDINATE_PRIMES)
 def test_a_family_of_coordinate_members_verifies_without_products(monkeypatch, p):
     # members with i < r pin a unit vector e_i, so every basis row is a unit row
-    monkeypatch.setattr(msr_family, "_product", lambda *args: pytest.fail("_product called"))
+    for name in ("_product", "_float_product"):
+        monkeypatch.setattr(msr_family, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     for r, m in ((2, 3), (3, 2), (3, 3)):
         members = [c for c in range((r + 1) * m) if c % (r + 1) != r]
         family = construct_tensor_family(r, m, FieldSpec(p), 2, members=members)

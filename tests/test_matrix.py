@@ -269,11 +269,53 @@ def test_empty_products():
         assert a @ b == Matrix.zeros(GF5, rows, cols)
 
 
+def float_reduced(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p through _float_product's reduction: x @ [[1]] in float32."""
+    return matrix_module._float_product(x[:, None], np.ones((1, 1), np.float32), p)[:, 0]
+
+
+def test_float_reduction_is_exact_below_2_24():
+    # every integer the float32 carrier can hold at p = 3, and the top 2**20
+    # below 2**24 at p = 2, 5, 449 and 4093, the largest prime with
+    # (p-1)**2 < 2**24, where x/p comes closest to rounding up to q + 1
+    cases = [(3, start, 2**22) for start in range(0, 2**24, 2**22)]
+    cases += [(p, 2**24 - 2**20, 2**20) for p in (2, 5, 449, 4093)]
+    for p, start, count in cases:
+        x = np.arange(start, start + count, dtype=np.int64)
+        got = float_reduced(x.astype(np.float32), p)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.astype(np.int64), x % p)
+
+
+@pytest.mark.parametrize("p", [257, 449, 457, 4093])
+def test_float_product_is_exact_up_to_its_bound(monkeypatch, p):
+    # all-(p-1) operands reach inner * (p-1)**2, the largest dot product: the
+    # kernel is exact at the largest inner size below 2**24, and _product
+    # takes it there and int64 one step above
+    top = (2**24 - 1) // (p - 1) ** 2
+    conversions = float_conversions(monkeypatch)
+    for inner in (top, top + 1):  # a 2-D left operand, then a stacked one
+        a = np.full((64, inner) if inner == top else (2, 64, inner), p - 1, dtype=np.int64)
+        b = np.full((2, inner, 64) if inner == top else (inner, 64), p - 1, dtype=np.int64)
+        want = np.full((2, 64, 64), inner * (p - 1) ** 2 % p)
+        if inner == top:
+            got = matrix_module._float_product(a.astype(np.float32), b.astype(np.float32), p)
+            assert got.dtype == np.float32 and np.array_equal(got, want)
+        conversions.clear()
+        prod = matrix_module._product(a, b, p)
+        assert prod.dtype == np.int64 and np.array_equal(prod, want)
+        assert bool(conversions) == (inner == top)
+    assert top * (p - 1) ** 2 < 2**24 <= (top + 1) * (p - 1) ** 2
+
+
 # (batch, rows, inner, cols): below and above 4096 multiply-adds, an empty
 # inner dimension, and an inner size that takes three limb blocks at
-# p = 2**31 - 1; b of cols None is one 2-D matrix for every slice
+# p = 2**31 - 1; b of cols None is one 2-D matrix for every slice, and a of
+# rows None is one 5 x inner matrix against every slice of b, as verify()
+# multiplies its bases by a stack of maps
 STACKED_SHAPES = [(3, 8, 16, 8), (3, 16, 16, 16), (2, 40, 3, 40), (4, 6, 20, 3),
-                  (2, 3, 0, 4), (3, 16, 16, None), (2, 1, 70_000, 1)]
+                  (2, 3, 0, 4), (3, 16, 16, None), (2, 1, 70_000, 1),
+                  (3, None, 16, 8), (2, None, 16, 64), (2, None, 0, 4), (2, None, 70_000, 2)]
 
 
 @pytest.mark.parametrize("p", [3, 65537, 2**31 - 1])
@@ -288,26 +330,30 @@ def test_stacked_product_matches_slices_and_python_ints(monkeypatch, p):
             return getattr(np, name)
 
     for batch, rows, inner, cols in STACKED_SHAPES:
-        a = rng.integers(0, p, (batch, rows, inner), dtype=np.int64)
+        a = rng.integers(0, p, (batch, rows, inner) if rows else (5, inner), dtype=np.int64)
         b = rng.integers(0, p, (batch, inner, cols) if cols else (inner, 5), dtype=np.int64)
         a_before, b_before = a.copy(), b.copy()
         monkeypatch.setattr(matrix_module, "np", NumpySpy())
         seen.clear()
         prod = matrix_module._product(a, b, p)
         monkeypatch.setattr(matrix_module, "np", np)
-        paths.add("float32" if "float32" in seen else "limbs" if "zeros" in seen else "int64")
-        assert prod.dtype == np.int64 and prod.shape == (batch, rows, b.shape[-1])
+        paths.add(("float32" if "float32" in seen else "limbs" if "zeros" in seen else "int64",
+                   a.ndim))
+        assert prod.dtype == np.int64 and prod.shape == (batch, a.shape[-2], b.shape[-1])
         assert np.all((prod >= 0) & (prod < p))
         assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
         for t in range(batch):
+            left = a[t] if a.ndim == 3 else a
             right = b[t] if b.ndim == 3 else b
-            whole = Matrix._adopt(spec, a[t].copy()) @ Matrix._adopt(spec, right.copy())
+            whole = Matrix._adopt(spec, left.copy()) @ Matrix._adopt(spec, right.copy())
             assert np.array_equal(prod[t], whole._a)
-            want = (python_matmul(a[t].tolist(), right.tolist(), p) if inner
-                    else [[0] * right.shape[1]] * rows)
+            want = (python_matmul(left.tolist(), right.tolist(), p) if inner
+                    else [[0] * right.shape[1]] * left.shape[0])
             assert prod[t].tolist() == want
-    # 3 takes float32 above 4096 multiply-adds, 65537 int64, 2**31 - 1 limbs
-    assert paths == {3: {"float32", "int64"}, 65537: {"int64"}, 2**31 - 1: {"limbs", "int64"}}[p]
+    # 3 takes float32 above 4096 multiply-adds, 65537 int64, 2**31 - 1 limbs,
+    # each with a stacked and with a 2-D left operand
+    assert paths == {(path, ndim) for ndim in (2, 3) for path in {
+        3: ("float32", "int64"), 65537: ("int64",), 2**31 - 1: ("limbs", "int64")}[p]}
 
 
 def test_transpose():
